@@ -146,7 +146,7 @@ def _solve_bbox_min(args, path: str, instance: Instance) -> None:
     report = contact_report(g, outcome.representation)
     if report.bbox_width > outcome.width or report.false_adjacencies:
         raise SolverInternalError("report does not match the emitted layout")
-    print("solver: min-cost flow (bounding box)")
+    print("solver: longest-path width + one min-cost flow (bounding box)")
     print(f"objective: width {outcome.width} ({outcome.flow_solves} flow solves)")
     print(f"time: {elapsed:.1f} ms")
     if args.oracle_check:

@@ -29,6 +29,7 @@ from .model import (
     StripInfeasibleError,
     VertexId,
     contact_report,
+    false_adjacency_pairs,
     validate_graph,
 )
 
@@ -114,7 +115,8 @@ def build_network(g: LayeredGraph, supply: Fraction | int | None = None) -> Flow
     """Construct the flow network, optionally with a reduced source supply.
 
     The default supply is w_max * K, the strip width; `minimize_bounding_box`
-    probes smaller values.  Rejects graphs that fail `validate_graph`.
+    passes the narrowest valid width instead.  Rejects graphs that fail
+    `validate_graph`.
     """
     violations = validate_graph(g)
     if violations:
@@ -247,9 +249,10 @@ def solve_min_cost_flow(network: FlowNetwork) -> FlowResult:
     """Exact minimum-cost flow meeting lower bounds and node imbalances.
 
     Lower bounds are folded into node excesses, then successive shortest
-    augmenting paths (Dijkstra with potentials; all costs are 0 or 1) route
-    the excess.  Raises FlowInfeasibleError when the excess cannot be routed,
-    which `minimize_bounding_box` uses as its probe signal.
+    augmenting paths route the excess; each path is found by queue-based
+    Bellman-Ford (arc costs are 0 or 1, so residual arcs cost 0 or -1).  Raises
+    FlowInfeasibleError when the excess cannot be routed, e.g. when the
+    supply is narrower than every valid layout.
     """
     num_nodes = len(network.nodes)
     excess = [0] * num_nodes
@@ -282,8 +285,9 @@ def solve_min_cost_flow(network: FlowNetwork) -> FlowResult:
     total = num_nodes + 2
     routed = 0
     while routed < need:
-        # Bellman-Ford (queue form) keeps the arithmetic plainly exact; the
-        # networks here are a few dozen nodes, so speed is not a concern.
+        # Bellman-Ford (queue form) keeps the arithmetic plainly exact and
+        # handles the negative residual costs without potentials; networks
+        # range from a few dozen nodes to about 1,000 (two rows of 120).
         dist: list[int | None] = [None] * total
         parent: list[tuple[int, int] | None] = [None] * total
         in_queue = [False] * total
@@ -536,49 +540,83 @@ class BoundingBoxResult:
     flow_solves: int
 
 
-def minimize_bounding_box(g: LayeredGraph, epsilon: Fraction | int = 1) -> BoundingBoxResult:
-    """Smallest strip width whose network is feasible, by binary search.
+def _narrowest_width(g: LayeredGraph) -> int:
+    """Narrowest bounding width of any valid layout of an integer-width graph.
 
-    Searches integers between the widest row total and w_max * K (always
-    feasible); requires integer widths so the search grid is exact.
+    Every valid layout satisfies the difference constraints x_b >= x_a + w_a of
+    row order and of the nearest forbidden pairs (F_L, F_R) of
+    `false_adjacency_pairs`, which keep out every false adjacency; the
+    left-compacted layout meets them all.  So the narrowest width is the
+    longest path over those constraints, found by one topological pass in
+    O(V + E).
+    """
+    offset = [0]
+    for row in g.widths:
+        offset.append(offset[-1] + len(row))
+    width = [int(w) for row in g.widths for w in row]
+
+    def flat(v: VertexId) -> int:
+        return offset[v.layer] + v.pos
+
+    successors: list[list[int]] = [[] for _ in width]
+    for i, row in enumerate(g.widths):
+        for j in range(len(row) - 1):
+            successors[offset[i] + j].append(offset[i] + j + 1)
+    f_left, f_right = false_adjacency_pairs(g)
+    for v, above in f_left:  # ``above`` lies entirely left of ``v``
+        successors[flat(above)].append(flat(v))
+    for v, above in f_right:  # ``above`` lies entirely right of ``v``
+        successors[flat(v)].append(flat(above))
+
+    indegree = [0] * len(width)
+    for heads in successors:
+        for b in heads:
+            indegree[b] += 1
+    start = [0] * len(width)
+    ready = [a for a, k in enumerate(indegree) if k == 0]
+    done = 0
+    while ready:
+        a = ready.pop()
+        done += 1
+        reach = start[a] + width[a]
+        for b in successors[a]:
+            if reach > start[b]:
+                start[b] = reach
+            indegree[b] -= 1
+            if indegree[b] == 0:
+                ready.append(b)
+    if done != len(width):
+        raise SolverInternalError(
+            f"ordering constraints contain a cycle: {len(width) - done} vertices unplaced"
+        )
+    return max(x + w for x, w in zip(start, width))
+
+
+def minimize_bounding_box(g: LayeredGraph, epsilon: Fraction | int = 1) -> BoundingBoxResult:
+    """Narrowest valid layout, which must fit the strip of width w_max * K.
+
+    The narrowest width W* of any valid layout is a longest path over the
+    graph's ordering constraints (`_narrowest_width`).  The network with
+    supply W* is feasible and every narrower one is not, so a single flow
+    solve at W* yields the layout.  The strip caps the width: when W* exceeds
+    w_max * K, StripInfeasibleError names both numbers and no network is
+    built.  Requires integer widths.
     """
     violations = validate_graph(g)
     if violations:
         raise InvalidInstanceError(f"invalid graph: {violations[0]}")
     if any(w.denominator != 1 for row in g.widths for w in row):
-        raise InvalidInstanceError("bounding-box search requires integer widths")
-    lo = int(g.max_row_width)
-    hi = int(g.max_width) * g.max_layer_size
-    solves = 0
-    best: tuple[int, FlowNetwork, FlowResult] | None = None
-
-    def attempt(width: int) -> tuple[FlowNetwork, FlowResult] | None:
-        network = build_network(g, supply=width)
-        try:
-            return network, solve_min_cost_flow(network)
-        except FlowInfeasibleError:
-            return None
-
-    while lo < hi:
-        mid = (lo + hi) // 2
-        solves += 1
-        outcome = attempt(mid)
-        if outcome is not None:
-            best = (mid, *outcome)
-            hi = mid
-        else:
-            lo = mid + 1
-    if best is None or best[0] != lo:
-        solves += 1
-        outcome = attempt(lo)
-        if outcome is None:
-            raise StripInfeasibleError(
-                f"no valid layout fits any strip up to width {hi}"
-            )
-        best = (lo, *outcome)
-    width, network, result = best
+        raise InvalidInstanceError("bounding-box minimization requires integer widths")
+    width = _narrowest_width(g)
+    strip = int(g.max_width) * g.max_layer_size
+    if width > strip:
+        raise StripInfeasibleError(
+            f"narrowest valid layout is {width} wide; strip w_max*K is {strip}"
+        )
+    network = build_network(g, supply=width)
+    result = solve_min_cost_flow(network)
     straightened = resolve_crossing_patterns(network, result)
     representation = extract_representation(g, network, straightened, epsilon)
     return BoundingBoxResult(
-        representation=representation, width=Fraction(width), flow_solves=solves
+        representation=representation, width=Fraction(width), flow_solves=1
     )

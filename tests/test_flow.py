@@ -324,8 +324,65 @@ class TestMinimizeBoundingBox:
             if result.width > w_low:
                 with pytest.raises(FlowInfeasibleError):
                     solve_min_cost_flow(build_network(g, supply=result.width - 1))
-            budget = (w_high - w_low).bit_length() + 1  # ceil(log2(range + 1)) + 1
-            assert result.flow_solves <= budget
+            assert result.flow_solves == 1
             report = contact_report(g, result.representation)
             assert report.bbox_width <= result.width
             assert not report.false_adjacencies
+
+    def test_cap_names_narrowest_width_and_strip(self):
+        """The narrowest valid layout (423) is wider than the strip (20 * 20)."""
+        g = gen_random_instance(6, [20] * 6, (1, 20), seed=0)
+        with pytest.raises(StripInfeasibleError, match="423") as info:
+            minimize_bounding_box(g)
+        assert "400" in str(info.value)
+
+    def test_matches_binary_search_reference(self):
+        """Same width and layout, or the same verdict, as probing every strip."""
+        rng = random.Random(5)
+        infeasible = 0
+        for seed in range(100):
+            layers = rng.randint(1, 5)
+            sizes = [rng.randint(1, 8) for _ in range(layers)]
+            g = gen_random_instance(layers, sizes, (1, 9), seed=seed)
+            try:
+                width, representation = _binary_search_bounding_box(g)
+            except StripInfeasibleError:
+                infeasible += 1
+                with pytest.raises(StripInfeasibleError):
+                    minimize_bounding_box(g)
+                continue
+            result = minimize_bounding_box(g)
+            assert result.width == width, f"seed {seed}"
+            assert result.representation.x == representation.x, f"seed {seed}"
+        assert infeasible == 2  # seeds 33 and 80
+
+
+def _binary_search_bounding_box(g):
+    """Reference (width, layout): binary search for the narrowest feasible strip."""
+    lo = int(g.max_row_width)
+    hi = int(g.max_width) * g.max_layer_size
+    best = None
+
+    def attempt(width):
+        network = build_network(g, supply=width)
+        try:
+            return network, solve_min_cost_flow(network)
+        except FlowInfeasibleError:
+            return None
+
+    while lo < hi:
+        mid = (lo + hi) // 2
+        outcome = attempt(mid)
+        if outcome is not None:
+            best = (mid, *outcome)
+            hi = mid
+        else:
+            lo = mid + 1
+    if best is None or best[0] != lo:
+        outcome = attempt(lo)
+        if outcome is None:
+            raise StripInfeasibleError(f"no valid layout fits any strip up to width {hi}")
+        best = (lo, *outcome)
+    width, network, result = best
+    straightened = resolve_crossing_patterns(network, result)
+    return width, extract_representation(g, network, straightened)
