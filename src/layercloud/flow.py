@@ -10,15 +10,22 @@ legally share x-overlap, so false adjacencies are unrepresentable by
 construction.  The cheapest flow therefore spends as little length on gaps as
 any valid layout can, and a crossing-free flow reads out directly as a layout.
 
+The flow is found by a primal-dual successive-shortest-path method: Dijkstra
+on reduced costs sets node potentials, then a Dinic blocking-flow search
+routes as much as it can over the arcs of reduced cost 0, a handful of phases
+in all.  The crossing repair then merges each strip's outflows with its
+inflows in slot order (the northwest-corner rule), which yields the unique
+crossing-free flow with the same node throughputs in one linear pass.
+
 All computations are on integers (rational widths are pre-scaled by their
 common denominator), so optima and extracted coordinates are exact.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 from typing import Iterable
 
@@ -51,7 +58,7 @@ class FlowInfeasibleError(SolverInternalError):
 
 
 class CrossingRepairError(SolverInternalError):
-    """A crossing pair could not be rerouted because an arc is missing."""
+    """The crossing-free reroute needs an arc the network lacks."""
 
 
 @dataclass(frozen=True)
@@ -121,6 +128,11 @@ def build_network(g: LayeredGraph, supply: Fraction | int | None = None) -> Flow
     violations = validate_graph(g)
     if violations:
         raise InvalidInstanceError(f"invalid graph: {violations[0]}")
+    return _build_network(g, supply)
+
+
+def _build_network(g: LayeredGraph, supply: Fraction | int | None) -> FlowNetwork:
+    """`build_network` for a graph the caller has already validated."""
     denom = lcm(*(w.denominator for row in g.widths for w in row))
     if supply is None:
         supply = g.max_width * g.max_layer_size
@@ -248,32 +260,51 @@ def dump_network(network: FlowNetwork) -> str:
 def solve_min_cost_flow(network: FlowNetwork) -> FlowResult:
     """Exact minimum-cost flow meeting lower bounds and node imbalances.
 
-    Lower bounds are folded into node excesses, then successive shortest
-    augmenting paths route the excess; each path is found by queue-based
-    Bellman-Ford (arc costs are 0 or 1, so residual arcs cost 0 or -1).  Raises
-    FlowInfeasibleError when the excess cannot be routed, e.g. when the
-    supply is narrower than every valid layout.
+    Lower bounds are folded into node excesses, then a primal-dual
+    successive-shortest-path method routes the excess from a super source to
+    a super sink.  Each phase runs Dijkstra on reduced costs, raises every
+    node potential by its distance (capped at the super sink's), and routes a
+    maximum flow (Dinic) over the residual arcs of reduced cost 0, which are
+    exactly the arcs on shortest paths.  Potentials start at 0, which needs
+    every arc cost to be non-negative (`build_network` makes only 0 and 1);
+    a negative cost raises SolverInternalError.  Raises FlowInfeasibleError
+    when the excess cannot be routed, e.g. when the supply is narrower than
+    every valid layout.
     """
     num_nodes = len(network.nodes)
     excess = [0] * num_nodes
     for node, b in network.imbalance.items():
         excess[node] += b
     for arc in network.arcs:
+        if arc.cost < 0:
+            raise SolverInternalError(
+                f"arc {network.nodes[arc.tail].label()}->{network.nodes[arc.head].label()} "
+                f"costs {arc.cost}; zero start potentials need costs >= 0"
+            )
         excess[arc.tail] -= arc.lower
         excess[arc.head] += arc.lower
 
     super_source = num_nodes
     super_sink = num_nodes + 1
-    graph: list[list[list[int]]] = [[] for _ in range(num_nodes + 2)]
-    arc_slot: list[tuple[int, int]] = []
+    # Residual arcs come in pairs: arc e and its reverse e ^ 1.  Network arc k
+    # is residual arc 2k.
+    head: list[int] = []
+    cap: list[int] = []
+    cost: list[int] = []
+    out: list[list[int]] = [[] for _ in range(num_nodes + 2)]
 
-    def add_edge(u: int, v: int, cap: int, cost: int) -> tuple[int, int]:
-        graph[u].append([v, cap, cost, len(graph[v])])
-        graph[v].append([u, 0, -cost, len(graph[u]) - 1])
-        return (u, len(graph[u]) - 1)
+    def add_edge(u: int, v: int, capacity: int, unit_cost: int) -> None:
+        out[u].append(len(head))
+        head.append(v)
+        cap.append(capacity)
+        cost.append(unit_cost)
+        out[v].append(len(head))
+        head.append(u)
+        cap.append(0)
+        cost.append(-unit_cost)
 
     for arc in network.arcs:
-        arc_slot.append(add_edge(arc.tail, arc.head, arc.capacity - arc.lower, arc.cost))
+        add_edge(arc.tail, arc.head, arc.capacity - arc.lower, arc.cost)
     need = 0
     for node in range(num_nodes):
         if excess[node] > 0:
@@ -283,58 +314,117 @@ def solve_min_cost_flow(network: FlowNetwork) -> FlowResult:
             add_edge(node, super_sink, -excess[node], 0)
 
     total = num_nodes + 2
+    pot = [0] * total
     routed = 0
     while routed < need:
-        # Bellman-Ford (queue form) keeps the arithmetic plainly exact and
-        # handles the negative residual costs without potentials; networks
-        # range from a few dozen nodes to about 1,000 (two rows of 120).
-        dist: list[int | None] = [None] * total
-        parent: list[tuple[int, int] | None] = [None] * total
-        in_queue = [False] * total
+        # Dijkstra on reduced costs, stopped once the super sink is settled:
+        # every unsettled node is at least that far away.
+        dist = [-1] * total
+        settled = [False] * total
         dist[super_source] = 0
-        queue = deque([super_source])
-        in_queue[super_source] = True
-        while queue:
-            u = queue.popleft()
-            in_queue[u] = False
-            base = dist[u]
-            for edge_pos, edge in enumerate(graph[u]):
-                v, cap, cost, _ = edge
-                if cap <= 0:
-                    continue
-                nd = base + cost
-                if dist[v] is None or nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = (u, edge_pos)
-                    if not in_queue[v]:
-                        queue.append(v)
-                        in_queue[v] = True
-        if dist[super_sink] is None:
+        heap = [(0, super_source)]
+        while heap:
+            d, u = heappop(heap)
+            if settled[u]:
+                continue
+            settled[u] = True
+            if u == super_sink:
+                break
+            base = d + pot[u]
+            for e in out[u]:
+                if cap[e] > 0:
+                    v = head[e]
+                    if settled[v]:
+                        continue
+                    nd = base + cost[e] - pot[v]
+                    if dist[v] < 0 or nd < dist[v]:
+                        dist[v] = nd
+                        heappush(heap, (nd, v))
+        if not settled[super_sink]:
             raise FlowInfeasibleError(
                 f"cannot route {need - routed} of {need} lower-bound/supply units"
             )
-        bottleneck = need - routed
-        node = super_sink
-        while node != super_source:
-            u, edge_pos = parent[node]
-            bottleneck = min(bottleneck, graph[u][edge_pos][1])
-            node = u
-        node = super_sink
-        while node != super_source:
-            u, edge_pos = parent[node]
-            edge = graph[u][edge_pos]
-            edge[1] -= bottleneck
-            graph[node][edge[3]][1] += bottleneck
-            node = u
-        routed += bottleneck
+        reach = dist[super_sink]
+        for v in range(total):
+            pot[v] += dist[v] if settled[v] else reach
+        routed += _route_admissible(out, head, cap, cost, pot, super_source, super_sink)
 
     flows = []
-    for arc, (u, pos) in zip(network.arcs, arc_slot):
-        used = graph[u][pos]
-        sent = (arc.capacity - arc.lower) - used[1]
+    for k, arc in enumerate(network.arcs):
+        sent = (arc.capacity - arc.lower) - cap[2 * k]
         flows.append(arc.lower + sent)
     cost_units = sum(arc.cost * f for arc, f in zip(network.arcs, flows))
     return FlowResult(flow=tuple(flows), cost_units=cost_units)
+
+
+def _route_admissible(
+    out: list[list[int]],
+    head: list[int],
+    cap: list[int],
+    cost: list[int],
+    pot: list[int],
+    source: int,
+    sink: int,
+) -> int:
+    """Dinic maximum flow over the residual arcs of reduced cost 0.
+
+    Returns the units routed.  The level-graph search is iterative because an
+    augmenting path can be longer than Python's recursion limit.
+    """
+    total = len(out)
+    routed = 0
+    while True:
+        level = [-1] * total
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            next_level = level[u] + 1
+            pu = pot[u]
+            for e in out[u]:
+                if cap[e] > 0:
+                    v = head[e]
+                    if level[v] < 0 and cost[e] + pu == pot[v]:
+                        level[v] = next_level
+                        queue.append(v)
+        if level[sink] < 0:
+            return routed
+        # Blocking flow: depth-first with a current-arc pointer per node; a
+        # node whose arcs are exhausted leaves the level graph.
+        pointer = [0] * total
+        path: list[int] = []
+        u = source
+        while True:
+            if u == sink:
+                push = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= push
+                    cap[e ^ 1] += push
+                routed += push
+                path.clear()
+                u = source
+                continue
+            edges = out[u]
+            i = pointer[u]
+            next_level = level[u] + 1
+            pu = pot[u]
+            end = len(edges)
+            while i < end:
+                e = edges[i]
+                if cap[e] > 0:
+                    v = head[e]
+                    if level[v] == next_level and cost[e] + pu == pot[v]:
+                        break
+                i += 1
+            pointer[u] = i
+            if i < end:
+                path.append(edges[i])
+                u = head[edges[i]]
+            elif path:
+                level[u] = -1
+                u = head[path.pop() ^ 1]
+                pointer[u] += 1
+            else:
+                break
 
 
 def _strip_arcs(network: FlowNetwork, flow: Iterable[int]) -> dict[int, list[int]]:
@@ -376,61 +466,75 @@ def crossing_pairs(network: FlowNetwork, result: FlowResult) -> list[tuple[int, 
     return pairs
 
 
-def resolve_crossing_patterns(network: FlowNetwork, result: FlowResult) -> FlowResult:
-    """Reroute crossing positive-flow pairs until none remain.
+def _has_crossing(network: FlowNetwork, flow: Iterable[int]) -> bool:
+    """Whether any two positive-flow arcs between consecutive rows cross.
 
-    A crossing pair (a -> d, b -> c) with a left of b and c left of d swaps
-    min(flow) onto (a -> c) and (b -> d): cost depends only on arc heads, so
-    the multiset of heads (hence the cost) and every node throughput are
-    preserved.  Each swap strictly shrinks the flow-weighted sum of squared
-    slot spans, so the loop terminates.  The straightened arcs always exist
-    because element reaches grow monotonically along a row; if one were
-    missing the network itself is wrong, which is an internal error.
+    O(m log m): with a strip's arcs sorted by (tail slot, head slot), an arc
+    crosses an earlier one exactly when its head lies left of the rightmost
+    head of the arcs with strictly smaller tails.
+    """
+    slot = network.element_slot
+    for idxs in _strip_arcs(network, flow).values():
+        ends = sorted(
+            (slot[network.arcs[idx].tail][1], slot[network.arcs[idx].head][1])
+            for idx in idxs
+        )
+        rightmost_before = -1  # over tails strictly left of the current tail
+        current_tail = None
+        rightmost = -1
+        for tail, head in ends:
+            if tail != current_tail:
+                rightmost_before = rightmost
+                current_tail = tail
+            if head < rightmost_before:
+                return True
+            rightmost = max(rightmost, head)
+    return False
+
+
+def resolve_crossing_patterns(network: FlowNetwork, result: FlowResult) -> FlowResult:
+    """Reroute each strip's flow so that no two positive-flow arcs cross.
+
+    Between two consecutive rows, the lower row's outflows (tails in slot
+    order) are merged monotonically with the upper row's inflows (heads in
+    slot order): each step sends min(remaining out, remaining in) along the
+    current (tail, head) arc and advances whichever side is used up (the
+    northwest-corner rule).  Every node throughput is kept, and a
+    crossing-free flow with given throughputs is unique, so this is the flow
+    any sequence of crossing swaps ends at.  Cost depends only on arc heads,
+    so it is unchanged.  The merged arcs always exist because element reaches
+    grow monotonically along a row; if one were missing the network itself
+    is wrong, which is an internal error.
     """
     flow = list(result.flow)
     slot = network.element_slot
-
-    def find_crossing() -> tuple[int, int] | None:
-        strips = _strip_arcs(network, flow)
-        for layer in sorted(strips):
-            arcs = strips[layer]
-            arcs.sort(key=lambda idx: (slot[network.arcs[idx].tail][1],
-                                       slot[network.arcs[idx].head][1]))
-            for a_pos, a_idx in enumerate(arcs):
-                for b_idx in arcs[a_pos + 1:]:
-                    a, b = network.arcs[a_idx], network.arcs[b_idx]
-                    if (slot[a.tail][1] < slot[b.tail][1]
-                            and slot[a.head][1] > slot[b.head][1]):
-                        return a_idx, b_idx
-        return None
-
-    while True:
-        pair = find_crossing()
-        if pair is None:
-            break
-        a_idx, b_idx = pair
-        a, b = network.arcs[a_idx], network.arcs[b_idx]
-        straight_ac = network.arc_index.get((a.tail, b.head))
-        straight_bd = network.arc_index.get((b.tail, a.head))
-        if straight_ac is None or straight_bd is None:
-            raise CrossingRepairError(
-                f"no straight replacement for crossing "
-                f"{network.nodes[a.tail].label()}->{network.nodes[a.head].label()} / "
-                f"{network.nodes[b.tail].label()}->{network.nodes[b.head].label()}"
-            )
-        delta = min(flow[a_idx], flow[b_idx])
-        span_before = (slot[a.head][1] - slot[a.tail][1]) ** 2 + (
-            slot[b.head][1] - slot[b.tail][1]
-        ) ** 2
-        span_after = (slot[b.head][1] - slot[a.tail][1]) ** 2 + (
-            slot[a.head][1] - slot[b.tail][1]
-        ) ** 2
-        if span_after >= span_before:
-            raise CrossingRepairError("uncrossing failed to shrink the span potential")
-        flow[a_idx] -= delta
-        flow[b_idx] -= delta
-        flow[straight_ac] += delta
-        flow[straight_bd] += delta
+    for idxs in _strip_arcs(network, flow).values():
+        outflow: dict[int, int] = {}
+        inflow: dict[int, int] = {}
+        for idx in idxs:
+            arc = network.arcs[idx]
+            outflow[arc.tail] = outflow.get(arc.tail, 0) + flow[idx]
+            inflow[arc.head] = inflow.get(arc.head, 0) + flow[idx]
+            flow[idx] = 0
+        tails = sorted(outflow, key=lambda node: (slot[node][1], node))
+        heads = sorted(inflow, key=lambda node: (slot[node][1], node))
+        t_pos = h_pos = 0
+        while t_pos < len(tails):
+            tail, head = tails[t_pos], heads[h_pos]
+            idx = network.arc_index.get((tail, head))
+            if idx is None:
+                raise CrossingRepairError(
+                    f"no arc {network.nodes[tail].label()}->{network.nodes[head].label()} "
+                    f"for the crossing-free reroute"
+                )
+            sent = min(outflow[tail], inflow[head])
+            flow[idx] += sent
+            outflow[tail] -= sent
+            inflow[head] -= sent
+            if outflow[tail] == 0:
+                t_pos += 1
+            if inflow[head] == 0:
+                h_pos += 1
 
     cost_units = sum(arc.cost * f for arc, f in zip(network.arcs, flow))
     if cost_units != result.cost_units:
@@ -473,7 +577,7 @@ def extract_representation(
     gaps, each as wide as the flow through its node, then the right buffer.
     Every row totals the supply, and the result is shifted so min x = 0.
     """
-    if crossing_pairs(network, result):
+    if _has_crossing(network, result.flow):
         raise ValueError("flow has crossing pairs; run resolve_crossing_patterns first")
     through = node_throughput(network, result)
     denom = network.denominator
@@ -613,7 +717,7 @@ def minimize_bounding_box(g: LayeredGraph, epsilon: Fraction | int = 1) -> Bound
         raise StripInfeasibleError(
             f"narrowest valid layout is {width} wide; strip w_max*K is {strip}"
         )
-    network = build_network(g, supply=width)
+    network = _build_network(g, supply=width)
     result = solve_min_cost_flow(network)
     straightened = resolve_crossing_patterns(network, result)
     representation = extract_representation(g, network, straightened, epsilon)

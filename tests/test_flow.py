@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,12 @@ from layercloud.flow import (
     SINK,
     SOURCE,
     Arc,
+    CrossingRepairError,
     FlowInfeasibleError,
     FlowNetwork,
     FlowNode,
     FlowResult,
+    SolverInternalError,
     build_network,
     crossing_pairs,
     dump_network,
@@ -167,6 +170,48 @@ class TestSolveMinCostFlow:
         with pytest.raises(FlowInfeasibleError):
             solve_min_cost_flow(network)
 
+    def test_negative_arc_cost_is_an_internal_error(self):
+        """Zero start potentials are only valid when no arc costs less than 0."""
+        nodes = (FlowNode(SOURCE), FlowNode(SINK))
+        arcs = (Arc(0, 1, 0, 1, -1),)
+        network = FlowNetwork(
+            nodes=nodes,
+            arcs=arcs,
+            imbalance={0: 1, 1: -1},
+            supply=1,
+            denominator=1,
+            node_index={node: i for i, node in enumerate(nodes)},
+            arc_index={(0, 1): 0},
+            element_slot=(None, None),
+        )
+        with pytest.raises(SolverInternalError, match="costs -1"):
+            solve_min_cost_flow(network)
+
+    def test_matches_bellman_ford_reference(self):
+        """Same optimum cost, or the same infeasible verdict, as one
+        Bellman-Ford search per augmenting path; at the strip width and at the
+        widest row, which is often too narrow."""
+        rng = random.Random(5)
+        infeasible = 0
+        for seed in range(100):
+            layers = rng.randint(1, 5)
+            sizes = [rng.randint(1, 8) for _ in range(layers)]
+            g = gen_random_instance(layers, sizes, (1, 9), seed=seed)
+            for supply in (None, g.max_row_width):
+                network = build_network(g, supply=supply)
+                try:
+                    expected = _bellman_ford_reference(network)
+                except FlowInfeasibleError as exc:
+                    infeasible += 1
+                    with pytest.raises(FlowInfeasibleError, match=str(exc)):
+                        solve_min_cost_flow(network)
+                    continue
+                result = solve_min_cost_flow(network)
+                assert result.cost_units == expected.cost_units, f"seed {seed}"
+                for arc, f in zip(network.arcs, result.flow):
+                    assert arc.lower <= f <= arc.capacity
+        assert infeasible == 51  # of 200 probes; 2 at the strip width
+
 
 def four_node_pattern():
     """The hand-built 2x2 strip with a deliberately crossed unit of flow."""
@@ -210,6 +255,46 @@ class TestCrossingRepair:
         assert fixed.flow == (0, 0, 1, 1)
         assert fixed.cost_units == result.cost_units
         assert crossing_pairs(network, fixed) == []
+
+    def test_missing_merge_arc_is_an_internal_error(self):
+        network, result = four_node_pattern()
+        arcs = network.arcs[:2] + network.arcs[3:]  # drop a -> c
+        pruned = FlowNetwork(
+            nodes=network.nodes,
+            arcs=arcs,
+            imbalance={},
+            supply=2,
+            denominator=1,
+            node_index=network.node_index,
+            arc_index={(arc.tail, arc.head): i for i, arc in enumerate(arcs)},
+            element_slot=network.element_slot,
+        )
+        with pytest.raises(CrossingRepairError):
+            resolve_crossing_patterns(pruned, FlowResult(flow=(1, 1, 0), cost_units=0))
+
+    def test_matches_swap_loop_reference(self):
+        """Flow for flow the result of swapping crossing pairs one at a time."""
+        rng = random.Random(41)
+        crossed = 0
+        for seed in range(120):
+            layers = rng.randint(1, 5)
+            sizes = [rng.randint(1, 10) for _ in range(layers)]
+            g = gen_random_instance(layers, sizes, (1, 9), seed=seed)
+            network = build_network(g)
+            try:
+                result = solve_min_cost_flow(network)
+            except FlowInfeasibleError:
+                continue
+            expected = _swap_loop_reference(network, result)
+            fixed = resolve_crossing_patterns(network, result)
+            assert fixed.flow == expected.flow, f"seed {seed}"
+            if crossing_pairs(network, result):
+                crossed += 1
+                with pytest.raises(ValueError):
+                    extract_representation(g, network, result)
+            else:
+                extract_representation(g, network, result)
+        assert crossed >= 20
 
     def test_random_instances_end_crossing_free_at_equal_cost(self):
         rng = random.Random(17)
@@ -285,6 +370,15 @@ class TestMinimizeArea:
             brute_force_min_gap(g)
         with pytest.raises(StripInfeasibleError):
             minimize_bounding_box(g)
+
+    def test_three_rows_of_120(self):
+        """Augmenting paths here are longer than Python's recursion limit."""
+        g = gen_random_instance(3, [120] * 3, (1, 120), seed=0)
+        outcome = minimize_area(g)
+        assert outcome.gap_total == 16086
+        report = contact_report(g, outcome.representation)
+        assert not report.false_adjacencies
+        assert report.gap_total == outcome.gap_total
 
     def test_rational_widths_are_scaled_exactly(self):
         g = build_graph([["3/2"], ["1/2", "1/2", "1/2"]], [[[0, 2]]])
@@ -386,3 +480,100 @@ def _binary_search_bounding_box(g):
     width, network, result = best
     straightened = resolve_crossing_patterns(network, result)
     return width, extract_representation(g, network, straightened)
+
+
+def _bellman_ford_reference(network):
+    """Reference min-cost flow: successive shortest paths, one queue-based
+    Bellman-Ford search per augmenting path."""
+    num_nodes = len(network.nodes)
+    excess = [0] * num_nodes
+    for node, b in network.imbalance.items():
+        excess[node] += b
+    for arc in network.arcs:
+        excess[arc.tail] -= arc.lower
+        excess[arc.head] += arc.lower
+
+    super_source = num_nodes
+    super_sink = num_nodes + 1
+    graph = [[] for _ in range(num_nodes + 2)]
+    arc_slot = []
+
+    def add_edge(u, v, cap, cost):
+        graph[u].append([v, cap, cost, len(graph[v])])
+        graph[v].append([u, 0, -cost, len(graph[u]) - 1])
+        return (u, len(graph[u]) - 1)
+
+    for arc in network.arcs:
+        arc_slot.append(add_edge(arc.tail, arc.head, arc.capacity - arc.lower, arc.cost))
+    need = 0
+    for node in range(num_nodes):
+        if excess[node] > 0:
+            add_edge(super_source, node, excess[node], 0)
+            need += excess[node]
+        elif excess[node] < 0:
+            add_edge(node, super_sink, -excess[node], 0)
+
+    total = num_nodes + 2
+    routed = 0
+    while routed < need:
+        dist = [None] * total
+        parent = [None] * total
+        in_queue = [False] * total
+        dist[super_source] = 0
+        queue = deque([super_source])
+        in_queue[super_source] = True
+        while queue:
+            u = queue.popleft()
+            in_queue[u] = False
+            for edge_pos, (v, cap, cost, _) in enumerate(graph[u]):
+                if cap <= 0:
+                    continue
+                nd = dist[u] + cost
+                if dist[v] is None or nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = (u, edge_pos)
+                    if not in_queue[v]:
+                        queue.append(v)
+                        in_queue[v] = True
+        if dist[super_sink] is None:
+            raise FlowInfeasibleError(
+                f"cannot route {need - routed} of {need} lower-bound/supply units"
+            )
+        bottleneck = need - routed
+        node = super_sink
+        while node != super_source:
+            u, edge_pos = parent[node]
+            bottleneck = min(bottleneck, graph[u][edge_pos][1])
+            node = u
+        node = super_sink
+        while node != super_source:
+            u, edge_pos = parent[node]
+            edge = graph[u][edge_pos]
+            edge[1] -= bottleneck
+            graph[node][edge[3]][1] += bottleneck
+            node = u
+        routed += bottleneck
+
+    flows = []
+    for arc, (u, pos) in zip(network.arcs, arc_slot):
+        sent = (arc.capacity - arc.lower) - graph[u][pos][1]
+        flows.append(arc.lower + sent)
+    cost_units = sum(arc.cost * f for arc, f in zip(network.arcs, flows))
+    return FlowResult(flow=tuple(flows), cost_units=cost_units)
+
+
+def _swap_loop_reference(network, result):
+    """Reference repair: swap min(flow) off the first crossing pair found,
+    rescanning from scratch after every swap, until no pair crosses."""
+    flow = list(result.flow)
+    while True:
+        pairs = crossing_pairs(network, FlowResult(flow=tuple(flow), cost_units=0))
+        if not pairs:
+            return FlowResult(flow=tuple(flow), cost_units=result.cost_units)
+        a_idx, b_idx = pairs[0]
+        a, b = network.arcs[a_idx], network.arcs[b_idx]
+        delta = min(flow[a_idx], flow[b_idx])
+        flow[a_idx] -= delta
+        flow[b_idx] -= delta
+        flow[network.arc_index[(a.tail, b.head)]] += delta
+        flow[network.arc_index[(b.tail, a.head)]] += delta
