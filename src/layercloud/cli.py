@@ -1,7 +1,8 @@
 """Command-line front end: validation, solving, generation, rendering.
 
-Exit codes: 0 success, 1 invalid or unreadable instance, 2 internal solver
-assertion, 3 oracle mismatch under --oracle-check.
+Exit codes: 0 success, 1 invalid or unreadable instance or bad arguments,
+2 internal solver assertion, 3 oracle mismatch under --oracle-check, 4 no
+valid layout fits the strip of width w_max * K.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INTERNAL = 2
 EXIT_ORACLE_MISMATCH = 3
+EXIT_STRIP_INFEASIBLE = 4
 
 
 class OracleMismatch(RuntimeError):
@@ -216,7 +218,7 @@ def cmd_solve(args) -> int:
             status = max(status, EXIT_ORACLE_MISMATCH)
         except StripInfeasibleError as exc:
             print(f"infeasible: {exc}")
-            status = max(status, EXIT_INTERNAL)
+            status = max(status, EXIT_STRIP_INFEASIBLE)
         except (SolverInternalError, AssertionError, RuntimeError) as exc:
             print(f"internal error: {exc}")
             status = max(status, EXIT_INTERNAL)
@@ -243,7 +245,7 @@ def cmd_oracle(args) -> int:
             status = max(status, EXIT_INVALID)
         except StripInfeasibleError as exc:
             print(f"infeasible: {exc}")
-            status = max(status, EXIT_INTERNAL)
+            status = max(status, EXIT_STRIP_INFEASIBLE)
     return status
 
 
@@ -251,9 +253,21 @@ def cmd_gen(args) -> int:
     seed = args.seed
     env_seed = os.environ.get("LAYERCLOUD_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
-    sizes = [int(part) for part in args.sizes.split(",")]
-    lo, hi = (int(part) for part in args.width_range.split(":"))
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            print(f"LAYERCLOUD_SEED needs an integer, got {env_seed!r}")
+            return EXIT_INVALID
+    try:
+        sizes = [int(part) for part in args.sizes.split(",")]
+    except ValueError:
+        print(f"--sizes needs comma-separated integers, got {args.sizes!r}")
+        return EXIT_INVALID
+    try:
+        lo, hi = (int(part) for part in args.width_range.split(":"))
+    except ValueError:
+        print(f"--width-range needs two integers lo:hi, got {args.width_range!r}")
+        return EXIT_INVALID
     try:
         g = gen_random_instance(len(sizes), sizes, (lo, hi), seed=seed)
     except ValueError as exc:

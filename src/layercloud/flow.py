@@ -1,24 +1,36 @@
-"""Area minimization as a minimum-cost flow problem.
+"""Area and bounding-box minimization as minimum-cost flows.
 
-Every layout inside the strip of width w_max * K is encoded as a flow: the
-source pushes exactly that much supply through each row, rectangles are forced
-to carry their own width (arc with lower bound = capacity = width), and the
-remaining row width runs through gap nodes (one per same-row pair, every
+The paper's network (`build_network`) encodes every layout inside a strip of
+width S as a flow: the source pushes S units through each row, rectangles are
+forced to carry their own width (arc with lower bound = capacity = width), and
+the remaining row width runs through gap nodes (one per same-row pair, every
 incoming unit costing 1) or the free buffers outside the row.  An arc from a
 row element to an element of the row above exists exactly when the two may
 legally share x-overlap, so false adjacencies are unrepresentable by
-construction.  The cheapest flow therefore spends as little length on gaps as
-any valid layout can, and a crossing-free flow reads out directly as a layout.
+construction, and the cheapest flow spends as little length on gaps as any
+valid layout can.  This is the documented model: `dump_network` writes it,
+and the CLI certifies a bounding-box width with it.
 
-The flow is found by a primal-dual successive-shortest-path method: Dijkstra
-on reduced costs sets node potentials, then a Dinic blocking-flow search
-routes as much as it can over the arcs of reduced cost 0, a handful of phases
-in all.  The crossing repair then merges each strip's outflows with its
-inflows in slot order (the northwest-corner rule), which yields the unique
-crossing-free flow with the same node throughputs in one linear pass.
+The solvers take the dual route to the same optimum.  A layout is valid
+exactly when it meets the difference constraints x_b >= x_a + w_a of row
+order and of the nearest forbidden pairs F_L and F_R, and it lies in the
+strip when 0 <= x_v <= S - w_v.  Minimizing the sum over rows of
+(x_last - x_first) under these constraints is an LP whose dual is a min-cost
+flow on the constraint graph itself: one node per vertex plus an origin, one
+arc per constraint, and one unit from each row's first vertex to its last.
+The layout is read off the optimal node potentials (Ahuja, Magnanti and
+Orlin, *Network Flows*, 1993).  The left-compacted layout, one longest-path
+pass, gives the narrowest valid width W* and start potentials that make every
+arc cost non-negative whenever W* <= S.  `minimize_area` solves in the strip
+S = w_max * K, `minimize_bounding_box` in S = W*.
+
+Both networks are solved by `solve_min_cost_flow`, a primal-dual
+successive-shortest-path method: Dijkstra on reduced costs sets node
+potentials, then a Dinic blocking-flow search routes as much as it can over
+the arcs of reduced cost 0, a handful of phases in all.
 
 All computations are on integers (rational widths are pre-scaled by their
-common denominator), so optima and extracted coordinates are exact.
+common denominator), so optima and coordinates are exact.
 """
 
 from __future__ import annotations
@@ -47,6 +59,9 @@ LEFT_BUFFER = "left_buffer"
 RIGHT_BUFFER = "right_buffer"
 SOURCE = "source"
 SINK = "sink"
+# Nodes of the constraint graph that the solvers work on.
+VERTEX = "vertex"
+ORIGIN = "origin"
 
 
 class SolverInternalError(RuntimeError):
@@ -55,10 +70,6 @@ class SolverInternalError(RuntimeError):
 
 class FlowInfeasibleError(SolverInternalError):
     """The network admits no flow meeting every lower bound and imbalance."""
-
-
-class CrossingRepairError(SolverInternalError):
-    """The crossing-free reroute needs an arc the network lacks."""
 
 
 @dataclass(frozen=True)
@@ -72,6 +83,10 @@ class FlowNode:
             return "s"
         if self.kind == SINK:
             return "t"
+        if self.kind == ORIGIN:
+            return "z"
+        if self.kind == VERTEX:
+            return f"v[{self.layer},{self.pos}]"
         if self.kind in (RECT_A, RECT_B):
             return f"{'va' if self.kind == RECT_A else 'vb'}[{self.layer},{self.pos}]"
         if self.kind == GAP:
@@ -100,8 +115,8 @@ class FlowNetwork:
     denominator: int
     node_index: dict[FlowNode, int]
     arc_index: dict[tuple[int, int], int]
-    # (layer, ordinal) of each element node within its row, for crossing checks
-    # and extraction; source/sink carry None.
+    # (layer, ordinal) of each element node within its row, for crossing
+    # checks; source, sink and constraint-graph nodes carry None.
     element_slot: tuple[tuple[int, int] | None, ...]
 
     def arc_between(self, tail: FlowNode, head: FlowNode) -> Arc | None:
@@ -111,28 +126,34 @@ class FlowNetwork:
 
 @dataclass(frozen=True)
 class FlowResult:
+    """A flow, its cost in scaled units, and the solver's final potentials.
+
+    Under ``potential`` every residual arc has reduced cost
+    cost + potential[tail] - potential[head] >= 0, the optimality certificate.
+    """
+
     flow: tuple[int, ...]
     cost_units: int
+    potential: tuple[int, ...] = ()
 
     def cost(self, network: FlowNetwork) -> Fraction:
         return Fraction(self.cost_units, network.denominator)
 
 
-def build_network(g: LayeredGraph, supply: Fraction | int | None = None) -> FlowNetwork:
-    """Construct the flow network, optionally with a reduced source supply.
-
-    The default supply is w_max * K, the strip width; `minimize_bounding_box`
-    passes the narrowest valid width instead.  Rejects graphs that fail
-    `validate_graph`.
-    """
+def _require_valid(g: LayeredGraph) -> None:
     violations = validate_graph(g)
     if violations:
         raise InvalidInstanceError(f"invalid graph: {violations[0]}")
-    return _build_network(g, supply)
 
 
-def _build_network(g: LayeredGraph, supply: Fraction | int | None) -> FlowNetwork:
-    """`build_network` for a graph the caller has already validated."""
+def build_network(g: LayeredGraph, supply: Fraction | int | None = None) -> FlowNetwork:
+    """Construct the flow network, optionally with a reduced source supply.
+
+    The default supply is w_max * K, the strip width; the narrowest valid
+    width is the smallest supply that admits a flow.  Rejects graphs that
+    fail `validate_graph`.
+    """
+    _require_valid(g)
     denom = lcm(*(w.denominator for row in g.widths for w in row))
     if supply is None:
         supply = g.max_width * g.max_layer_size
@@ -266,10 +287,12 @@ def solve_min_cost_flow(network: FlowNetwork) -> FlowResult:
     node potential by its distance (capped at the super sink's), and routes a
     maximum flow (Dinic) over the residual arcs of reduced cost 0, which are
     exactly the arcs on shortest paths.  Potentials start at 0, which needs
-    every arc cost to be non-negative (`build_network` makes only 0 and 1);
-    a negative cost raises SolverInternalError.  Raises FlowInfeasibleError
-    when the excess cannot be routed, e.g. when the supply is narrower than
-    every valid layout.
+    every arc cost to be non-negative (`build_network` makes only 0 and 1,
+    and the solvers pre-reduce their costs by the left-compacted layout); a
+    negative cost raises SolverInternalError.  The result carries the final
+    potentials of the network's nodes, under which no residual arc has a
+    negative reduced cost.  Raises FlowInfeasibleError when the excess cannot
+    be routed, e.g. when the supply is narrower than every valid layout.
     """
     num_nodes = len(network.nodes)
     excess = [0] * num_nodes
@@ -354,7 +377,9 @@ def solve_min_cost_flow(network: FlowNetwork) -> FlowResult:
         sent = (arc.capacity - arc.lower) - cap[2 * k]
         flows.append(arc.lower + sent)
     cost_units = sum(arc.cost * f for arc, f in zip(network.arcs, flows))
-    return FlowResult(flow=tuple(flows), cost_units=cost_units)
+    return FlowResult(
+        flow=tuple(flows), cost_units=cost_units, potential=tuple(pot[:num_nodes])
+    )
 
 
 def _route_admissible(
@@ -466,175 +491,10 @@ def crossing_pairs(network: FlowNetwork, result: FlowResult) -> list[tuple[int, 
     return pairs
 
 
-def _has_crossing(network: FlowNetwork, flow: Iterable[int]) -> bool:
-    """Whether any two positive-flow arcs between consecutive rows cross.
-
-    O(m log m): with a strip's arcs sorted by (tail slot, head slot), an arc
-    crosses an earlier one exactly when its head lies left of the rightmost
-    head of the arcs with strictly smaller tails.
-    """
-    slot = network.element_slot
-    for idxs in _strip_arcs(network, flow).values():
-        ends = sorted(
-            (slot[network.arcs[idx].tail][1], slot[network.arcs[idx].head][1])
-            for idx in idxs
-        )
-        rightmost_before = -1  # over tails strictly left of the current tail
-        current_tail = None
-        rightmost = -1
-        for tail, head in ends:
-            if tail != current_tail:
-                rightmost_before = rightmost
-                current_tail = tail
-            if head < rightmost_before:
-                return True
-            rightmost = max(rightmost, head)
-    return False
-
-
-def resolve_crossing_patterns(network: FlowNetwork, result: FlowResult) -> FlowResult:
-    """Reroute each strip's flow so that no two positive-flow arcs cross.
-
-    Between two consecutive rows, the lower row's outflows (tails in slot
-    order) are merged monotonically with the upper row's inflows (heads in
-    slot order): each step sends min(remaining out, remaining in) along the
-    current (tail, head) arc and advances whichever side is used up (the
-    northwest-corner rule).  Every node throughput is kept, and a
-    crossing-free flow with given throughputs is unique, so this is the flow
-    any sequence of crossing swaps ends at.  Cost depends only on arc heads,
-    so it is unchanged.  The merged arcs always exist because element reaches
-    grow monotonically along a row; if one were missing the network itself
-    is wrong, which is an internal error.
-    """
-    flow = list(result.flow)
-    slot = network.element_slot
-    for idxs in _strip_arcs(network, flow).values():
-        outflow: dict[int, int] = {}
-        inflow: dict[int, int] = {}
-        for idx in idxs:
-            arc = network.arcs[idx]
-            outflow[arc.tail] = outflow.get(arc.tail, 0) + flow[idx]
-            inflow[arc.head] = inflow.get(arc.head, 0) + flow[idx]
-            flow[idx] = 0
-        tails = sorted(outflow, key=lambda node: (slot[node][1], node))
-        heads = sorted(inflow, key=lambda node: (slot[node][1], node))
-        t_pos = h_pos = 0
-        while t_pos < len(tails):
-            tail, head = tails[t_pos], heads[h_pos]
-            idx = network.arc_index.get((tail, head))
-            if idx is None:
-                raise CrossingRepairError(
-                    f"no arc {network.nodes[tail].label()}->{network.nodes[head].label()} "
-                    f"for the crossing-free reroute"
-                )
-            sent = min(outflow[tail], inflow[head])
-            flow[idx] += sent
-            outflow[tail] -= sent
-            inflow[head] -= sent
-            if outflow[tail] == 0:
-                t_pos += 1
-            if inflow[head] == 0:
-                h_pos += 1
-
-    cost_units = sum(arc.cost * f for arc, f in zip(network.arcs, flow))
-    if cost_units != result.cost_units:
-        raise SolverInternalError(
-            f"crossing repair changed cost: {result.cost_units} -> {cost_units}"
-        )
-    return FlowResult(flow=tuple(flow), cost_units=cost_units)
-
-
-def node_throughput(network: FlowNetwork, result: FlowResult) -> dict[int, int]:
-    """Units through each element node (inflow; for layer 0, flow from the source)."""
-    through = [0] * len(network.nodes)
-    for arc, f in zip(network.arcs, result.flow):
-        through[arc.head] += f
-    return {i: through[i] for i, slot in enumerate(network.element_slot) if slot is not None}
-
-
-def row_total_widths(network: FlowNetwork, result: FlowResult) -> list[Fraction]:
-    """Total width of each extracted row, buffers and gaps included."""
-    through = node_throughput(network, result)
-    num_layers = 1 + max(slot[0] for slot in network.element_slot if slot is not None)
-    totals = [0] * num_layers
-    for node_id, units in through.items():
-        node = network.nodes[node_id]
-        if node.kind == RECT_A:
-            continue  # count each rectangle once, via its outgoing copy
-        totals[network.element_slot[node_id][0]] += units
-    return [Fraction(units, network.denominator) for units in totals]
-
-
-def extract_representation(
-    g: LayeredGraph,
-    network: FlowNetwork,
-    result: FlowResult,
-    epsilon: Fraction | int = 1,
-) -> Representation:
-    """Read a crossing-free flow as a layout, left-aligned per row.
-
-    Each row is laid out as: left buffer, then rectangles alternating with
-    gaps, each as wide as the flow through its node, then the right buffer.
-    Every row totals the supply, and the result is shifted so min x = 0.
-    """
-    if _has_crossing(network, result.flow):
-        raise ValueError("flow has crossing pairs; run resolve_crossing_patterns first")
-    through = node_throughput(network, result)
-    denom = network.denominator
-    x: dict[VertexId, Fraction] = {}
-    for i in range(g.num_layers):
-        size = g.layer_size(i)
-        cursor = through[network.node_index[FlowNode(LEFT_BUFFER, i)]]
-        for j in range(size):
-            v = VertexId(i, j)
-            rect_units = through[network.node_index[FlowNode(RECT_A, i, j)]]
-            if Fraction(rect_units, denom) != g.width(v):
-                raise SolverInternalError(f"{v} carries {rect_units} units, not its width")
-            x[v] = Fraction(cursor, denom)
-            cursor += rect_units
-            if j < size - 1:
-                cursor += through[network.node_index[FlowNode(GAP, i, j)]]
-        cursor += through[network.node_index[FlowNode(RIGHT_BUFFER, i)]]
-        if cursor != network.supply:
-            raise SolverInternalError(
-                f"row {i} totals {cursor} units, expected {network.supply}"
-            )
-    shift = min(x.values())
-    return Representation(
-        x={v: value - shift for v, value in x.items()}, epsilon=Fraction(epsilon)
-    )
-
-
 @dataclass(frozen=True)
 class AreaResult:
     representation: Representation
     gap_total: Fraction
-
-
-def minimize_area(g: LayeredGraph, epsilon: Fraction | int = 1) -> AreaResult:
-    """Minimum-total-gap valid layout inside the strip of width w_max * K.
-
-    Raises StripInfeasibleError when no valid layout fits the strip at all
-    (the brute-force gap oracle reports the same outcome on such instances).
-    """
-    network = build_network(g)
-    try:
-        result = solve_min_cost_flow(network)
-    except FlowInfeasibleError as exc:
-        raise StripInfeasibleError(
-            f"no valid layout fits the strip of width {g.max_width * g.max_layer_size}"
-        ) from exc
-    straightened = resolve_crossing_patterns(network, result)
-    representation = extract_representation(g, network, straightened, epsilon)
-    gap_total = straightened.cost(network)
-    report = contact_report(g, representation)
-    if report.false_adjacencies:
-        raise SolverInternalError("extracted layout has false adjacencies")
-    if report.gap_total != gap_total:
-        raise SolverInternalError(
-            f"extracted gap total {report.gap_total} != flow cost {gap_total}"
-        )
-    return AreaResult(representation=representation, gap_total=gap_total)
 
 
 @dataclass(frozen=True)
@@ -644,38 +504,59 @@ class BoundingBoxResult:
     flow_solves: int
 
 
-def _narrowest_width(g: LayeredGraph) -> int:
-    """Narrowest bounding width of any valid layout of an integer-width graph.
+@dataclass(frozen=True)
+class _Constraints:
+    """Difference constraints of a graph on flat vertex indices (row-major).
 
-    Every valid layout satisfies the difference constraints x_b >= x_a + w_a of
-    row order and of the nearest forbidden pairs (F_L, F_R) of
-    `false_adjacency_pairs`, which keep out every false adjacency; the
-    left-compacted layout meets them all.  So the narrowest width is the
-    longest path over those constraints, found by one topological pass in
-    O(V + E).
+    ``arcs`` holds (a, b) for each constraint x_b >= x_a + width[a]; widths
+    are scaled to integers by ``denominator``; ``start`` is the
+    left-compacted layout, the pointwise smallest that meets every arc.
     """
+
+    denominator: int
+    offset: list[int]  # flat index of each row's first vertex, then the total
+    width: list[int]
+    arcs: list[tuple[int, int]]
+    start: list[int]
+
+    @property
+    def narrowest(self) -> int:
+        """Width of the left-compacted layout, the narrowest valid one."""
+        return max(x + w for x, w in zip(self.start, self.width))
+
+
+def _constraints(g: LayeredGraph) -> _Constraints:
+    """Row order and the nearest forbidden pairs as difference constraints.
+
+    Every valid layout satisfies x_b >= x_a + w_a of row order and of the
+    nearest forbidden pairs (F_L, F_R) of `false_adjacency_pairs`, which keep
+    out every false adjacency, and every layout that meets them all is valid.
+    The left-compacted layout is the longest path over these constraints,
+    found by one topological pass in O(V + E).
+    """
+    denom = lcm(*(w.denominator for row in g.widths for w in row))
     offset = [0]
     for row in g.widths:
         offset.append(offset[-1] + len(row))
-    width = [int(w) for row in g.widths for w in row]
+    width = [int(w * denom) for row in g.widths for w in row]
 
     def flat(v: VertexId) -> int:
         return offset[v.layer] + v.pos
 
-    successors: list[list[int]] = [[] for _ in width]
-    for i, row in enumerate(g.widths):
-        for j in range(len(row) - 1):
-            successors[offset[i] + j].append(offset[i] + j + 1)
+    arcs = [
+        (offset[i] + j, offset[i] + j + 1)
+        for i, row in enumerate(g.widths)
+        for j in range(len(row) - 1)
+    ]
     f_left, f_right = false_adjacency_pairs(g)
-    for v, above in f_left:  # ``above`` lies entirely left of ``v``
-        successors[flat(above)].append(flat(v))
-    for v, above in f_right:  # ``above`` lies entirely right of ``v``
-        successors[flat(v)].append(flat(above))
+    arcs.extend((flat(above), flat(v)) for v, above in f_left)  # ``above`` left of ``v``
+    arcs.extend((flat(v), flat(above)) for v, above in f_right)  # ``above`` right of ``v``
 
+    successors: list[list[int]] = [[] for _ in width]
     indegree = [0] * len(width)
-    for heads in successors:
-        for b in heads:
-            indegree[b] += 1
+    for a, b in arcs:
+        successors[a].append(b)
+        indegree[b] += 1
     start = [0] * len(width)
     ready = [a for a, k in enumerate(indegree) if k == 0]
     done = 0
@@ -693,34 +574,118 @@ def _narrowest_width(g: LayeredGraph) -> int:
         raise SolverInternalError(
             f"ordering constraints contain a cycle: {len(width) - done} vertices unplaced"
         )
-    return max(x + w for x, w in zip(start, width))
+    return _Constraints(denom, offset, width, arcs, start)
+
+
+def _solve_in_strip(
+    g: LayeredGraph, c: _Constraints, strip: int, epsilon: Fraction | int
+) -> tuple[Representation, Fraction]:
+    """Gap-minimal valid layout inside [0, strip] (scaled units), and its gap.
+
+    Needs ``c.narrowest <= strip``.  The dual of minimizing the sum over rows
+    of (x_last - x_first) sends one unit from each row's first vertex to its
+    last over arcs a -> b of cost -w_a (x_b >= x_a + w_a), origin -> v of
+    cost 0 (x_v >= 0) and v -> origin of cost S - w_v (x_v <= S - w_v).  Each
+    cost is reduced by the left-compacted starts, which makes it
+    non-negative.  An arc carries at most the units routed, so with one more
+    unit of capacity none saturates and the optimal potentials meet every
+    constraint: x_v = start_v - pot_v + pot_origin.  Complementary slackness
+    makes that layout optimal, and the duality gap check below certifies it.
+    """
+    start, width = c.start, c.width
+    origin = len(width)
+    rows = [
+        (c.offset[i], c.offset[i + 1] - 1)
+        for i in range(g.num_layers)
+        if c.offset[i + 1] - c.offset[i] > 1
+    ]
+    capacity = len(rows) + 1
+    arcs = [Arc(a, b, 0, capacity, start[b] - start[a] - width[a]) for a, b in c.arcs]
+    for v in range(origin):
+        arcs.append(Arc(origin, v, 0, capacity, start[v]))
+        arcs.append(Arc(v, origin, 0, capacity, strip - width[v] - start[v]))
+    imbalance = {}
+    for first, last in rows:
+        imbalance[first] = 1
+        imbalance[last] = -1
+    vertices = list(g.vertices())
+    nodes = tuple(FlowNode(VERTEX, v.layer, v.pos) for v in vertices) + (FlowNode(ORIGIN),)
+    network = FlowNetwork(
+        nodes=nodes,
+        arcs=tuple(arcs),
+        imbalance=imbalance,
+        supply=len(rows),
+        denominator=c.denominator,
+        node_index={node: k for k, node in enumerate(nodes)},
+        arc_index={(arc.tail, arc.head): k for k, arc in enumerate(arcs)},
+        element_slot=(None,) * len(nodes),
+    )
+    result = solve_min_cost_flow(network)
+    pot = result.potential
+    x = [s - p + pot[origin] for s, p in zip(start, pot)]
+    spread = sum(x[last] - x[first] for first, last in rows)
+    certified = sum(start[last] - start[first] for first, last in rows) - result.cost_units
+    if spread != certified:
+        raise SolverInternalError(
+            f"rows of the layout span {spread} units; the flow certifies {certified}"
+        )
+    gap_units = spread - sum(sum(width[first:last]) for first, last in rows)
+    shift = min(x)
+    representation = Representation(
+        x={v: Fraction(xv - shift, c.denominator) for v, xv in zip(vertices, x)},
+        epsilon=Fraction(epsilon),
+    )
+    return representation, Fraction(gap_units, c.denominator)
+
+
+def minimize_area(g: LayeredGraph, epsilon: Fraction | int = 1) -> AreaResult:
+    """Minimum-total-gap valid layout inside the strip of width w_max * K.
+
+    One min-cost flow on the dual of the graph's difference constraints
+    (`_solve_in_strip`); its optimum equals that of the paper's network
+    (`build_network`).  Raises StripInfeasibleError, before any flow, when
+    the narrowest valid layout is wider than the strip (the brute-force gap
+    oracle reports the same outcome on such instances).
+    """
+    _require_valid(g)
+    c = _constraints(g)
+    strip = g.max_width * g.max_layer_size
+    if c.narrowest > strip * c.denominator:
+        raise StripInfeasibleError(f"no valid layout fits the strip of width {strip}")
+    representation, gap_total = _solve_in_strip(
+        g, c, int(strip * c.denominator), epsilon
+    )
+    report = contact_report(g, representation)
+    if report.false_adjacencies:
+        raise SolverInternalError("extracted layout has false adjacencies")
+    if report.gap_total != gap_total:
+        raise SolverInternalError(
+            f"extracted gap total {report.gap_total} != flow cost {gap_total}"
+        )
+    return AreaResult(representation=representation, gap_total=gap_total)
 
 
 def minimize_bounding_box(g: LayeredGraph, epsilon: Fraction | int = 1) -> BoundingBoxResult:
     """Narrowest valid layout, which must fit the strip of width w_max * K.
 
-    The narrowest width W* of any valid layout is a longest path over the
-    graph's ordering constraints (`_narrowest_width`).  The network with
-    supply W* is feasible and every narrower one is not, so a single flow
-    solve at W* yields the layout.  The strip caps the width: when W* exceeds
-    w_max * K, StripInfeasibleError names both numbers and no network is
-    built.  Requires integer widths.
+    The narrowest width W* of any valid layout is the width of the
+    left-compacted layout (`_constraints`).  One min-cost flow, the same as
+    `minimize_area`'s but in the strip of width W*, then picks the layout of
+    least total gap among the narrowest.  The strip caps the width: when W*
+    exceeds w_max * K, StripInfeasibleError names both numbers and no flow
+    is solved.  Requires integer widths.
     """
-    violations = validate_graph(g)
-    if violations:
-        raise InvalidInstanceError(f"invalid graph: {violations[0]}")
+    _require_valid(g)
     if any(w.denominator != 1 for row in g.widths for w in row):
         raise InvalidInstanceError("bounding-box minimization requires integer widths")
-    width = _narrowest_width(g)
+    c = _constraints(g)
+    width = c.narrowest
     strip = int(g.max_width) * g.max_layer_size
     if width > strip:
         raise StripInfeasibleError(
             f"narrowest valid layout is {width} wide; strip w_max*K is {strip}"
         )
-    network = _build_network(g, supply=width)
-    result = solve_min_cost_flow(network)
-    straightened = resolve_crossing_patterns(network, result)
-    representation = extract_representation(g, network, straightened, epsilon)
+    representation, _ = _solve_in_strip(g, c, width, epsilon)
     return BoundingBoxResult(
         representation=representation, width=Fraction(width), flow_solves=1
     )

@@ -8,31 +8,24 @@ from __future__ import annotations
 
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
 from layercloud.exact import build_model, solve_branch_and_bound
 from layercloud.flow import (
-    Arc,
     FlowInfeasibleError,
-    FlowNetwork,
-    FlowNode,
-    FlowResult,
-    RECT_A,
-    RECT_B,
     build_network,
-    crossing_pairs,
-    extract_representation,
     minimize_area,
     minimize_bounding_box,
-    node_throughput,
-    resolve_crossing_patterns,
-    row_total_widths,
     solve_min_cost_flow,
 )
 from layercloud.generate import gen_random_instance, random_layer_sizes
-from layercloud.model import StripInfeasibleError, build_graph, contact_report
+from layercloud.model import (
+    StripInfeasibleError,
+    build_graph,
+    contact_report,
+    validate_representation,
+)
 from layercloud.oracle import (
     brute_force_max_contacts,
     brute_force_min_gap,
@@ -77,19 +70,15 @@ _PIPELINES: dict[int, tuple] = {}
 
 
 def _pipeline(g):
-    """Network, straightened flow, and extraction, or None when the strip
+    """The paper's network and its min-cost flow, or None when the strip
     admits no valid layout (cached)."""
     key = id(g)
     if key not in _PIPELINES:
         network = build_network(g)
         try:
-            raw = solve_min_cost_flow(network)
+            _PIPELINES[key] = (network, solve_min_cost_flow(network))
         except FlowInfeasibleError:
             _PIPELINES[key] = None
-        else:
-            fixed = resolve_crossing_patterns(network, raw)
-            representation = extract_representation(g, network, fixed, EPSILON)
-            _PIPELINES[key] = (network, raw, fixed, representation)
     return _PIPELINES[key]
 
 
@@ -119,21 +108,26 @@ def test_criterion_1_area_equals_oracle(set_a):
 
 
 def test_criterion_2_extraction_consistency(set_a):
-    """Extracted layouts match the flow cost, stay valid, and fill the strip."""
+    """Area layouts are valid, stay in the strip, and match the flow cost."""
     solved = 0
     for i, g in enumerate(set_a):
         pipeline = _pipeline(g)
         if pipeline is None:
             continue
-        network, _, fixed, representation = pipeline
+        network, result = pipeline
         solved += 1
+        outcome = minimize_area(g, EPSILON)
+        representation = outcome.representation
         report = contact_report(g, representation)
         assert report.false_adjacencies == frozenset(), f"instance {i}"
-        assert report.gap_total == fixed.cost(network), f"instance {i}"
-        strip = Fraction(g.max_width * g.max_layer_size)
-        widths = row_total_widths(network, fixed)
-        assert widths == [strip] * g.num_layers, f"instance {i}"
-    print(f"PASS criterion 2: extraction consistent on {solved} solvable instances")
+        assert validate_representation(g, representation) == [], f"instance {i}"
+        strip = g.max_width * g.max_layer_size
+        for v in g.vertices():
+            x = representation.x[v]
+            assert 0 <= x and x + g.width(v) <= strip, f"instance {i}: {v}"
+        assert report.gap_total == result.cost(network), f"instance {i}"
+        assert outcome.gap_total == report.gap_total, f"instance {i}"
+    print(f"PASS criterion 2: area layouts consistent on {solved} solvable instances")
 
 
 def test_criterion_3_two_layer_sweep_equals_oracle(set_b):
@@ -186,53 +180,22 @@ def test_criterion_5_exact_solver_equals_oracle(set_c):
           f"({elapsed:.1f}s)")
 
 
-def _four_node_pattern():
-    nodes = (
-        FlowNode(RECT_B, 0, 0),
-        FlowNode(RECT_B, 0, 1),
-        FlowNode(RECT_A, 1, 0),
-        FlowNode(RECT_A, 1, 1),
-    )
-    slots = ((0, 1), (0, 3), (1, 1), (1, 3))
-    arcs = (
-        Arc(0, 3, 0, 2, 0),
-        Arc(1, 2, 0, 2, 0),
-        Arc(0, 2, 0, 2, 0),
-        Arc(1, 3, 0, 2, 0),
-    )
-    network = FlowNetwork(
-        nodes=nodes,
-        arcs=arcs,
-        imbalance={},
-        supply=2,
-        denominator=1,
-        node_index={node: i for i, node in enumerate(nodes)},
-        arc_index={(arc.tail, arc.head): i for i, arc in enumerate(arcs)},
-        element_slot=slots,
-    )
-    return network, FlowResult(flow=(1, 1, 0, 0), cost_units=0)
-
-
-def test_criterion_6_crossing_repair(set_a):
-    """Repair leaves no crossing pair, preserves cost and node throughput."""
+def test_criterion_6_narrowest_layouts_spend_least_gap(set_a):
+    """The narrowest layout spends as little gap as the paper's network
+    allows at that width."""
     solved = 0
     for i, g in enumerate(set_a):
-        pipeline = _pipeline(g)
-        if pipeline is None:
+        if _pipeline(g) is None:
             continue
-        network, raw, fixed, _ = pipeline
         solved += 1
-        assert crossing_pairs(network, fixed) == [], f"instance {i}"
-        assert fixed.cost_units == raw.cost_units, f"instance {i}"
-        assert node_throughput(network, fixed) == node_throughput(network, raw), (
-            f"instance {i}"
-        )
-    network, crossed = _four_node_pattern()
-    swapped = resolve_crossing_patterns(network, crossed)
-    assert swapped.flow == (0, 0, 1, 1)
-    assert swapped.cost_units == crossed.cost_units
-    print(f"PASS criterion 6: crossing repair clean on {solved} solvable instances "
-          f"+ the 4-node pattern")
+        result = minimize_bounding_box(g, EPSILON)
+        network = build_network(g, supply=result.width)
+        report = contact_report(g, result.representation)
+        assert report.false_adjacencies == frozenset(), f"instance {i}"
+        assert report.bbox_width <= result.width, f"instance {i}"
+        assert report.gap_total == solve_min_cost_flow(network).cost(network), f"instance {i}"
+    print(f"PASS criterion 6: narrowest layouts spend least gap on {solved} solvable "
+          f"instances")
 
 
 def test_criterion_7_bounding_box_search(set_a):

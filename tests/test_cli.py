@@ -103,6 +103,15 @@ class TestSolveCommands:
     def test_invalid_instance_exits_one(self, broken_file):
         assert main(["area-min", str(broken_file)]) == 1
 
+    def test_strip_infeasible_exits_four(self, tmp_path, capsys):
+        """No valid layout fits the strip: its own code, not the internal one."""
+        g = build_graph([[3, 3, 5, 5], [5, 4, 5, 5]], [[[0, 1], [1, 1], [1, 1], [1, 3]]])
+        path = tmp_path / "squeezed.json"
+        save_instance(path, Instance(graph=g, epsilon=Fraction(1)))
+        for command in (["area-min"], ["bbox-min"], ["oracle", "area-min"]):
+            assert main([*command, str(path)]) == 4, command
+            assert "infeasible:" in capsys.readouterr().out
+
     def test_glob_solves_every_match(self, tmp_path, capsys):
         for seed in range(3):
             main([
@@ -142,8 +151,27 @@ class TestGen:
         assert main(["gen", "--sizes", "2,2", "--seed", "1", "--out", str(out)]) == 0
         assert "seed 99" in capsys.readouterr().out
 
+    def test_non_integer_env_seed_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LAYERCLOUD_SEED", "abc")
+        out = tmp_path / "x.json"
+        assert main(["gen", "--sizes", "2,2", "--out", str(out)]) == 1
+        assert "LAYERCLOUD_SEED" in capsys.readouterr().out
+        assert not out.exists()
+
     def test_impossible_sizes_rejected(self, tmp_path):
         assert main(["gen", "--sizes", "0", "--out", str(tmp_path / "x.json")]) == 1
+
+    def test_non_integer_sizes_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["gen", "--sizes", "2,x", "--out", str(out)]) == 1
+        assert "--sizes" in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_width_range_without_colon_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["gen", "--sizes", "2,2", "--width-range", "5", "--out", str(out)]) == 1
+        assert "--width-range" in capsys.readouterr().out
+        assert not out.exists()
 
 
 class TestRender:

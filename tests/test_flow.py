@@ -1,10 +1,9 @@
-"""Flow solver tests: construction counts, crossing repair, oracle equivalence."""
+"""Flow solver tests: construction counts, optimality certificates, oracle equivalence."""
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from fractions import Fraction
 
 import pytest
 
@@ -17,7 +16,6 @@ from layercloud.flow import (
     SINK,
     SOURCE,
     Arc,
-    CrossingRepairError,
     FlowInfeasibleError,
     FlowNetwork,
     FlowNode,
@@ -26,17 +24,14 @@ from layercloud.flow import (
     build_network,
     crossing_pairs,
     dump_network,
-    extract_representation,
     minimize_area,
     minimize_bounding_box,
-    node_throughput,
-    resolve_crossing_patterns,
-    row_total_widths,
     solve_min_cost_flow,
 )
 from layercloud.generate import gen_random_instance, random_layer_sizes
 from layercloud.model import (
     InvalidInstanceError,
+    LayeredGraph,
     StripInfeasibleError,
     VertexId,
     build_graph,
@@ -212,102 +207,48 @@ class TestSolveMinCostFlow:
                     assert arc.lower <= f <= arc.capacity
         assert infeasible == 51  # of 200 probes; 2 at the strip width
 
-
-def four_node_pattern():
-    """The hand-built 2x2 strip with a deliberately crossed unit of flow."""
-    nodes = (
-        FlowNode(RECT_B, 0, 0),  # a
-        FlowNode(RECT_B, 0, 1),  # b
-        FlowNode(RECT_A, 1, 0),  # c
-        FlowNode(RECT_A, 1, 1),  # d
-    )
-    slots = ((0, 1), (0, 3), (1, 1), (1, 3))
-    arcs = (
-        Arc(0, 3, 0, 2, 0),  # a -> d
-        Arc(1, 2, 0, 2, 0),  # b -> c
-        Arc(0, 2, 0, 2, 0),  # a -> c
-        Arc(1, 3, 0, 2, 0),  # b -> d
-    )
-    network = FlowNetwork(
-        nodes=nodes,
-        arcs=arcs,
-        imbalance={},
-        supply=2,
-        denominator=1,
-        node_index={node: i for i, node in enumerate(nodes)},
-        arc_index={(arc.tail, arc.head): i for i, arc in enumerate(arcs)},
-        element_slot=slots,
-    )
-    return network, FlowResult(flow=(1, 1, 0, 0), cost_units=0)
-
-
-class TestCrossingRepair:
-    def test_crossing_free_flow_unchanged(self):
-        network = build_network(fan_instance())
-        result = solve_min_cost_flow(network)
-        if crossing_pairs(network, result):
-            result = resolve_crossing_patterns(network, result)
-        assert resolve_crossing_patterns(network, result).flow == result.flow
-
-    def test_four_node_pattern_swaps(self):
-        network, result = four_node_pattern()
-        fixed = resolve_crossing_patterns(network, result)
-        assert fixed.flow == (0, 0, 1, 1)
-        assert fixed.cost_units == result.cost_units
-        assert crossing_pairs(network, fixed) == []
-
-    def test_missing_merge_arc_is_an_internal_error(self):
-        network, result = four_node_pattern()
-        arcs = network.arcs[:2] + network.arcs[3:]  # drop a -> c
-        pruned = FlowNetwork(
-            nodes=network.nodes,
-            arcs=arcs,
-            imbalance={},
-            supply=2,
-            denominator=1,
-            node_index=network.node_index,
-            arc_index={(arc.tail, arc.head): i for i, arc in enumerate(arcs)},
-            element_slot=network.element_slot,
-        )
-        with pytest.raises(CrossingRepairError):
-            resolve_crossing_patterns(pruned, FlowResult(flow=(1, 1, 0), cost_units=0))
-
-    def test_matches_swap_loop_reference(self):
-        """Flow for flow the result of swapping crossing pairs one at a time."""
-        rng = random.Random(41)
-        crossed = 0
-        for seed in range(120):
-            layers = rng.randint(1, 5)
-            sizes = [rng.randint(1, 10) for _ in range(layers)]
-            g = gen_random_instance(layers, sizes, (1, 9), seed=seed)
-            network = build_network(g)
-            try:
-                result = solve_min_cost_flow(network)
-            except FlowInfeasibleError:
-                continue
-            expected = _swap_loop_reference(network, result)
-            fixed = resolve_crossing_patterns(network, result)
-            assert fixed.flow == expected.flow, f"seed {seed}"
-            if crossing_pairs(network, result):
-                crossed += 1
-                with pytest.raises(ValueError):
-                    extract_representation(g, network, result)
-            else:
-                extract_representation(g, network, result)
-        assert crossed >= 20
-
-    def test_random_instances_end_crossing_free_at_equal_cost(self):
-        rng = random.Random(17)
+    def test_potentials_certify_optimality(self):
+        """No residual arc of the paper's network has a negative reduced cost
+        under the returned potentials, at the strip width and at a narrower
+        feasible supply."""
+        rng = random.Random(13)
+        checked = 0
         for seed in range(60):
             layers = rng.randint(1, 4)
-            sizes = random_layer_sizes(layers, 9, rng)
-            g = gen_random_instance(layers, sizes, (1, 5), seed=seed)
-            network = build_network(g)
-            result = solve_min_cost_flow(network)
-            fixed = resolve_crossing_patterns(network, result)
-            assert crossing_pairs(network, fixed) == []
-            assert fixed.cost_units == result.cost_units
-            assert node_throughput(network, fixed) == node_throughput(network, result)
+            sizes = [rng.randint(1, 8) for _ in range(layers)]
+            g = gen_random_instance(layers, sizes, (1, 9), seed=seed)
+            for supply in (None, (g.max_width * g.max_layer_size + g.max_row_width) // 2):
+                network = build_network(g, supply=supply)
+                try:
+                    result = solve_min_cost_flow(network)
+                except FlowInfeasibleError:
+                    continue
+                checked += 1
+                pot = result.potential
+                assert len(pot) == len(network.nodes)
+                for arc, f in zip(network.arcs, result.flow):
+                    reduced = arc.cost + pot[arc.tail] - pot[arc.head]
+                    if f < arc.capacity:
+                        assert reduced >= 0, f"seed {seed}"
+                    if f > arc.lower:
+                        assert reduced <= 0, f"seed {seed}"
+        assert checked >= 100
+
+    def test_crossing_pairs_lists_crossed_strip_arcs(self):
+        g = build_graph([[1, 1], [1, 1]], [[[0, 0], [0, 1]]])
+        network = build_network(g)
+        over_gap = network.arc_index[
+            (network.node_index[FlowNode(RECT_B, 0, 0)], network.node_index[FlowNode(GAP, 1, 0)])
+        ]
+        under_rect = network.arc_index[
+            (network.node_index[FlowNode(RECT_B, 0, 1)], network.node_index[FlowNode(RECT_A, 1, 0)])
+        ]
+        flow = [0] * len(network.arcs)
+        flow[over_gap] = flow[under_rect] = 1
+        crossed = FlowResult(flow=tuple(flow), cost_units=0)
+        assert crossing_pairs(network, crossed) == [(over_gap, under_rect)]
+        flow[under_rect] = 0
+        assert crossing_pairs(network, FlowResult(flow=tuple(flow), cost_units=0)) == []
 
 
 class TestExtraction:
@@ -324,19 +265,6 @@ class TestExtraction:
         outcome = minimize_area(build_graph([[2]]))
         assert outcome.representation.x[VertexId(0, 0)] == 0
         assert outcome.gap_total == 0
-
-    def test_rows_total_the_strip_width(self):
-        g = pinch_instance()
-        network = build_network(g)
-        result = resolve_crossing_patterns(network, solve_min_cost_flow(network))
-        strip = Fraction(int(g.max_width) * g.max_layer_size)
-        assert row_total_widths(network, result) == [strip] * g.num_layers
-
-    def test_extraction_requires_crossing_free_flow(self):
-        network, crossed = four_node_pattern()
-        with pytest.raises(ValueError):
-            extract_representation(build_graph([[1, 1], [1, 1]], [[[0, 0], [0, 1]]]),
-                                   network, crossed)
 
 
 class TestMinimizeArea:
@@ -379,6 +307,50 @@ class TestMinimizeArea:
         report = contact_report(g, outcome.representation)
         assert not report.false_adjacencies
         assert report.gap_total == outcome.gap_total
+
+    def test_gap_equals_paper_network_cost(self):
+        """The dual solve reaches the paper network's optimum, or raises
+        exactly when that network admits no flow; every third instance is
+        also solved with its widths divided by 1-4."""
+        rng, scale = random.Random(5), random.Random(7)
+        graphs = []
+        for seed in range(120):
+            layers = rng.randint(1, 5)
+            sizes = [rng.randint(1, 8) for _ in range(layers)]
+            g = gen_random_instance(layers, sizes, (1, 9), seed=seed)
+            graphs.append(g)
+            if seed % 3 == 0:
+                widths = tuple(tuple(w / scale.randint(1, 4) for w in row) for row in g.widths)
+                graphs.append(LayeredGraph(widths=widths, up_neighbors=g.up_neighbors))
+        infeasible = rational = 0
+        for i, g in enumerate(graphs):
+            rational += any(w.denominator > 1 for row in g.widths for w in row)
+            network = build_network(g)
+            try:
+                expected = solve_min_cost_flow(network).cost(network)
+            except FlowInfeasibleError:
+                infeasible += 1
+                with pytest.raises(StripInfeasibleError):
+                    minimize_area(g)
+                continue
+            outcome = minimize_area(g)
+            assert outcome.gap_total == expected, f"instance {i}"
+            strip = g.max_width * g.max_layer_size
+            x = outcome.representation.x
+            assert all(0 <= x[v] and x[v] + g.width(v) <= strip for v in g.vertices())
+        assert (infeasible, rational) == (2, 40)  # seeds 33 and 80 do not fit
+
+    def test_single_vertex_rows_in_a_tight_strip(self):
+        """With one vertex per row the strip w_max * K is the narrowest width."""
+        g = build_graph([[2], [5], [3]], [[[0, 0]], [[0, 0]]])
+        outcome = minimize_area(g)
+        assert outcome.gap_total == 0
+        x = outcome.representation.x
+        assert all(0 <= x[v] and x[v] + g.width(v) <= 5 for v in g.vertices())
+        assert not contact_report(g, outcome.representation).false_adjacencies
+        result = minimize_bounding_box(g)
+        assert result.width == 5
+        assert contact_report(g, result.representation).bbox_width == 5
 
     def test_rational_widths_are_scaled_exactly(self):
         g = build_graph([["3/2"], ["1/2", "1/2", "1/2"]], [[[0, 2]]])
@@ -431,7 +403,8 @@ class TestMinimizeBoundingBox:
         assert "400" in str(info.value)
 
     def test_matches_binary_search_reference(self):
-        """Same width and layout, or the same verdict, as probing every strip."""
+        """Same width, and the same gap total at that width, or the same
+        verdict, as probing every strip of the paper's network."""
         rng = random.Random(5)
         infeasible = 0
         for seed in range(100):
@@ -439,7 +412,7 @@ class TestMinimizeBoundingBox:
             sizes = [rng.randint(1, 8) for _ in range(layers)]
             g = gen_random_instance(layers, sizes, (1, 9), seed=seed)
             try:
-                width, representation = _binary_search_bounding_box(g)
+                width, gap_total = _binary_search_bounding_box(g)
             except StripInfeasibleError:
                 infeasible += 1
                 with pytest.raises(StripInfeasibleError):
@@ -447,12 +420,15 @@ class TestMinimizeBoundingBox:
                 continue
             result = minimize_bounding_box(g)
             assert result.width == width, f"seed {seed}"
-            assert result.representation.x == representation.x, f"seed {seed}"
+            report = contact_report(g, result.representation)
+            assert report.gap_total == gap_total, f"seed {seed}"
+            assert not report.false_adjacencies, f"seed {seed}"
         assert infeasible == 2  # seeds 33 and 80
 
 
 def _binary_search_bounding_box(g):
-    """Reference (width, layout): binary search for the narrowest feasible strip."""
+    """Reference (width, gap total): binary search for the narrowest strip in
+    which the paper's network admits a flow, and that flow's cost."""
     lo = int(g.max_row_width)
     hi = int(g.max_width) * g.max_layer_size
     best = None
@@ -460,26 +436,24 @@ def _binary_search_bounding_box(g):
     def attempt(width):
         network = build_network(g, supply=width)
         try:
-            return network, solve_min_cost_flow(network)
+            return solve_min_cost_flow(network).cost(network)
         except FlowInfeasibleError:
             return None
 
     while lo < hi:
         mid = (lo + hi) // 2
-        outcome = attempt(mid)
-        if outcome is not None:
-            best = (mid, *outcome)
+        cost = attempt(mid)
+        if cost is not None:
+            best = (mid, cost)
             hi = mid
         else:
             lo = mid + 1
     if best is None or best[0] != lo:
-        outcome = attempt(lo)
-        if outcome is None:
+        cost = attempt(lo)
+        if cost is None:
             raise StripInfeasibleError(f"no valid layout fits any strip up to width {hi}")
-        best = (lo, *outcome)
-    width, network, result = best
-    straightened = resolve_crossing_patterns(network, result)
-    return width, extract_representation(g, network, straightened)
+        best = (lo, cost)
+    return best
 
 
 def _bellman_ford_reference(network):
@@ -560,20 +534,3 @@ def _bellman_ford_reference(network):
         flows.append(arc.lower + sent)
     cost_units = sum(arc.cost * f for arc, f in zip(network.arcs, flows))
     return FlowResult(flow=tuple(flows), cost_units=cost_units)
-
-
-def _swap_loop_reference(network, result):
-    """Reference repair: swap min(flow) off the first crossing pair found,
-    rescanning from scratch after every swap, until no pair crosses."""
-    flow = list(result.flow)
-    while True:
-        pairs = crossing_pairs(network, FlowResult(flow=tuple(flow), cost_units=0))
-        if not pairs:
-            return FlowResult(flow=tuple(flow), cost_units=result.cost_units)
-        a_idx, b_idx = pairs[0]
-        a, b = network.arcs[a_idx], network.arcs[b_idx]
-        delta = min(flow[a_idx], flow[b_idx])
-        flow[a_idx] -= delta
-        flow[b_idx] -= delta
-        flow[network.arc_index[(a.tail, b.head)]] += delta
-        flow[network.arc_index[(b.tail, a.head)]] += delta
