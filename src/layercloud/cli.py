@@ -269,11 +269,18 @@ def cmd_gen(args) -> int:
         print(f"--width-range needs two integers lo:hi, got {args.width_range!r}")
         return EXIT_INVALID
     try:
+        epsilon = Fraction(args.epsilon)
+    except (ValueError, ZeroDivisionError):
+        epsilon = Fraction(0)
+    if epsilon <= 0:  # every contact solver rejects a non-positive epsilon
+        print(f"--epsilon needs a positive rational number, got {args.epsilon!r}")
+        return EXIT_INVALID
+    try:
         g = gen_random_instance(len(sizes), sizes, (lo, hi), seed=seed)
     except ValueError as exc:
         print(exc)
         return EXIT_INVALID
-    instance = Instance(graph=g, epsilon=Fraction(args.epsilon))
+    instance = Instance(graph=g, epsilon=epsilon)
     save_instance(args.out, instance)
     print(f"instance written to {args.out} (seed {seed})")
     return EXIT_OK

@@ -5,6 +5,10 @@ one position variable per rectangle.  Row ordering and the nearest-forbidden
 pairs are hard rows; contact rows are switched off by their indicator through
 a big-M term.  With indicators fixed, every remaining row is a difference
 constraint, so feasibility is exact negative-cycle detection and needs no LP.
+The hard rows are the arcs of `model.difference_graph`, and every row the
+search scans has integer bounds (widths and epsilon scaled once by their
+common denominator); the witness returns to `Fraction` only at the end.  The
+`LinearRow` form keeps the unscaled data for `export_lp`.
 
 The solver is a depth-first branch and bound over the indicators in a fixed
 edge order, trying 0 (keep the contact) first.  At every node the all-zeros
@@ -26,8 +30,9 @@ from .model import (
     LayeredGraph,
     Representation,
     VertexId,
+    common_denominator,
     contact_report,
-    false_adjacency_pairs,
+    difference_graph,
     validate_graph,
 )
 
@@ -43,15 +48,15 @@ class LinearRow:
 
 @dataclass(frozen=True)
 class DifferenceConstraintSystem:
-    """Conjunction of rows x_a - x_b <= bound over variables 0..num_vars-1."""
+    """Rows x_a - x_b <= bound over variables 0..num_vars-1 (int or Fraction bounds)."""
 
     num_vars: int
-    rows: tuple[tuple[int, int, Fraction], ...]
+    rows: tuple[tuple[int, int, int], ...]
 
 
 def check_feasible(
     system: DifferenceConstraintSystem,
-) -> tuple[bool, list[Fraction] | None]:
+) -> tuple[bool, list[int] | None]:
     """Bellman-Ford feasibility; returns witness positions when feasible.
 
     The witness is the vector of shortest-path distances from an implicit
@@ -66,7 +71,7 @@ def check_feasible(
 
 def negative_cycle(
     system: DifferenceConstraintSystem,
-) -> tuple[list[int] | None, list[Fraction] | None]:
+) -> tuple[list[int] | None, list[int] | None]:
     """Find one negative cycle as row indices, or the feasibility witness.
 
     Returns (cycle_rows, None) for an infeasible system and (None, dist) for
@@ -75,7 +80,7 @@ def negative_cycle(
     """
     n = system.num_vars
     rows = system.rows
-    dist = [Fraction(0)] * n
+    dist = [0] * n
     pred = [-1] * n
     last_improved = -1
     for _ in range(n + 1):
@@ -122,10 +127,11 @@ class ContactModel:
     edges: tuple[Edge, ...]
     big_m: Fraction
     rows: tuple[LinearRow, ...]
-    # Difference-constraint templates: always-active rows and, per edge, the
-    # rows that its indicator switches off.
-    hard_diffs: tuple[tuple[int, int, Fraction], ...]
-    edge_diffs: dict[Edge, tuple[tuple[int, int, Fraction], ...]]
+    # Difference-constraint templates on integers scaled by
+    # `common_denominator(graph, epsilon)`: always-active rows (the arcs of
+    # `difference_graph`) and, per edge, the rows its indicator switches off.
+    hard_diffs: tuple[tuple[int, int, int], ...]
+    edge_diffs: dict[Edge, tuple[tuple[int, int, int], ...]]
     var_index: dict[VertexId, int]
 
     @property
@@ -153,91 +159,41 @@ def build_model(g: LayeredGraph, epsilon: Fraction | int = 1) -> ContactModel:
     edges = tuple(
         sorted(g.edges(), key=lambda e: (e[0].layer, e[0].pos, e[1].layer, e[1].pos))
     )
+    dg = difference_graph(g, eps)
+    width, eps_units = dg.width, dg.epsilon
     vertices = list(g.vertices())
     var_index = {v: i for i, v in enumerate(vertices)}
 
-    rows: list[LinearRow] = []
-    hard: list[tuple[int, int, Fraction]] = []
-    edge_diffs: dict[Edge, tuple[tuple[int, int, Fraction], ...]] = {}
-
-    def tag(e: Edge) -> str:
-        u, v = e
+    def tag(u: VertexId, v: VertexId) -> str:
         return f"{u.layer}_{u.pos}__{v.layer}_{v.pos}"
 
+    def linear(name: str, diff: tuple[int, int, int], e: Edge | None = None) -> LinearRow:
+        """The row x_p - x_q <= bound, switched off by edge ``e``'s indicator."""
+        p, q, bound = diff
+        coeffs = {_x_name(vertices[p]): Fraction(1), _x_name(vertices[q]): Fraction(-1)}
+        if e is not None:
+            coeffs[_c_name(e)] = -big_m
+        return LinearRow(name=name, coeffs=coeffs, rhs=Fraction(bound, dg.denominator))
+
+    rows: list[LinearRow] = []
+    edge_diffs: dict[Edge, tuple[tuple[int, int, int], ...]] = {}
     for e in edges:
         u, v = e
-        w_u = g.width(u)
+        a, b = var_index[u], var_index[v]
         if u.layer == v.layer:
             # Ordering is hard; the abutment check is indicator-controlled.
-            rows.append(
-                LinearRow(
-                    name=f"order_{tag(e)}",
-                    coeffs={_x_name(u): Fraction(1), _x_name(v): Fraction(-1)},
-                    rhs=-w_u,
-                )
-            )
-            rows.append(
-                LinearRow(
-                    name=f"habut_{tag(e)}",
-                    coeffs={
-                        _x_name(v): Fraction(1),
-                        _x_name(u): Fraction(-1),
-                        _c_name(e): -big_m,
-                    },
-                    rhs=w_u,
-                )
-            )
-            hard.append((var_index[u], var_index[v], -w_u))
-            edge_diffs[e] = ((var_index[v], var_index[u], w_u),)
+            edge_diffs[e] = ((b, a, width[a]),)
+            rows.append(linear(f"order_{tag(u, v)}", (a, b, -width[a])))
+            rows.append(linear(f"habut_{tag(u, v)}", edge_diffs[e][0], e))
         else:
-            w_v = g.width(v)
-            rows.append(
-                LinearRow(
-                    name=f"vlow_{tag(e)}",
-                    coeffs={
-                        _x_name(v): Fraction(1),
-                        _x_name(u): Fraction(-1),
-                        _c_name(e): -big_m,
-                    },
-                    rhs=w_u - eps,
-                )
-            )
-            rows.append(
-                LinearRow(
-                    name=f"vhigh_{tag(e)}",
-                    coeffs={
-                        _x_name(u): Fraction(1),
-                        _x_name(v): Fraction(-1),
-                        _c_name(e): -big_m,
-                    },
-                    rhs=w_v - eps,
-                )
-            )
-            edge_diffs[e] = (
-                (var_index[v], var_index[u], w_u - eps),
-                (var_index[u], var_index[v], w_v - eps),
-            )
-    f_left, f_right = false_adjacency_pairs(g)
-    for a, b in sorted(f_left):
-        # b stays entirely left of a.
-        rows.append(
-            LinearRow(
-                name=f"fleft_{tag((a, b))}",
-                coeffs={_x_name(b): Fraction(1), _x_name(a): Fraction(-1)},
-                rhs=-g.width(b),
-            )
-        )
-        hard.append((var_index[b], var_index[a], -g.width(b)))
-    for a, b in sorted(f_right):
-        # a stays entirely left of b.
-        rows.append(
-            LinearRow(
-                name=f"fright_{tag((a, b))}",
-                coeffs={_x_name(a): Fraction(1), _x_name(b): Fraction(-1)},
-                rhs=-g.width(a),
-            )
-        )
-        hard.append((var_index[a], var_index[b], -g.width(a)))
+            edge_diffs[e] = ((b, a, width[a] - eps_units), (a, b, width[b] - eps_units))
+            rows.append(linear(f"vlow_{tag(u, v)}", edge_diffs[e][0], e))
+            rows.append(linear(f"vhigh_{tag(u, v)}", edge_diffs[e][1], e))
+    # Both kinds are named (lower, upper); the arc runs from the left one.
+    for a, b in dg.f_left:
+        rows.append(linear(f"fleft_{tag(vertices[b], vertices[a])}", (a, b, -width[a])))
+    for a, b in dg.f_right:
+        rows.append(linear(f"fright_{tag(vertices[a], vertices[b])}", (a, b, -width[a])))
 
     return ContactModel(
         graph=g,
@@ -245,7 +201,7 @@ def build_model(g: LayeredGraph, epsilon: Fraction | int = 1) -> ContactModel:
         edges=edges,
         big_m=big_m,
         rows=tuple(rows),
-        hard_diffs=tuple(hard),
+        hard_diffs=tuple((a, b, -width[a]) for a, b in dg.arcs),
         edge_diffs=edge_diffs,
         var_index=var_index,
     )
@@ -307,7 +263,7 @@ def solve_branch_and_bound(model: ContactModel) -> ExactResult:
             excluded |= flippable
 
     best_count = len(edges) + 1
-    best_positions: list[Fraction] | None = None
+    best_positions: list[int] | None = None
     # Any feasible assignment bounds the optimum; c = 1 everywhere always is.
     greedy_bound = len(edges)
 
@@ -347,8 +303,9 @@ def solve_branch_and_bound(model: ContactModel) -> ExactResult:
         best_positions = witness
 
     shift = min(best_positions)
+    scale = common_denominator(g, model.epsilon)
     coords = {
-        v: best_positions[i] - shift for v, i in model.var_index.items()
+        v: Fraction(best_positions[i] - shift, scale) for v, i in model.var_index.items()
     }
     representation = Representation(x=coords, epsilon=model.epsilon)
     report = contact_report(g, representation)

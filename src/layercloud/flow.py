@@ -29,8 +29,8 @@ successive-shortest-path method: Dijkstra on reduced costs sets node
 potentials, then a Dinic blocking-flow search routes as much as it can over
 the arcs of reduced cost 0, a handful of phases in all.
 
-All computations are on integers (rational widths are pre-scaled by their
-common denominator), so optima and coordinates are exact.
+All computations are on integers, scaled once by `model.difference_graph`,
+so optima and coordinates are exact.
 """
 
 from __future__ import annotations
@@ -42,13 +42,14 @@ from math import lcm
 from typing import Iterable
 
 from .model import (
+    DifferenceGraph,
     InvalidInstanceError,
     LayeredGraph,
     Representation,
     StripInfeasibleError,
     VertexId,
     contact_report,
-    false_adjacency_pairs,
+    difference_graph,
     validate_graph,
 )
 
@@ -504,57 +505,16 @@ class BoundingBoxResult:
     flow_solves: int
 
 
-@dataclass(frozen=True)
-class _Constraints:
-    """Difference constraints of a graph on flat vertex indices (row-major).
+def _left_compacted(dg: DifferenceGraph) -> tuple[list[int], int]:
+    """The pointwise smallest layout that meets every arc of ``dg``, and its width.
 
-    ``arcs`` holds (a, b) for each constraint x_b >= x_a + width[a]; widths
-    are scaled to integers by ``denominator``; ``start`` is the
-    left-compacted layout, the pointwise smallest that meets every arc.
+    It is the longest path over the arcs, found by one topological pass in
+    O(V + E); its width is the narrowest of any valid layout.
     """
-
-    denominator: int
-    offset: list[int]  # flat index of each row's first vertex, then the total
-    width: list[int]
-    arcs: list[tuple[int, int]]
-    start: list[int]
-
-    @property
-    def narrowest(self) -> int:
-        """Width of the left-compacted layout, the narrowest valid one."""
-        return max(x + w for x, w in zip(self.start, self.width))
-
-
-def _constraints(g: LayeredGraph) -> _Constraints:
-    """Row order and the nearest forbidden pairs as difference constraints.
-
-    Every valid layout satisfies x_b >= x_a + w_a of row order and of the
-    nearest forbidden pairs (F_L, F_R) of `false_adjacency_pairs`, which keep
-    out every false adjacency, and every layout that meets them all is valid.
-    The left-compacted layout is the longest path over these constraints,
-    found by one topological pass in O(V + E).
-    """
-    denom = lcm(*(w.denominator for row in g.widths for w in row))
-    offset = [0]
-    for row in g.widths:
-        offset.append(offset[-1] + len(row))
-    width = [int(w * denom) for row in g.widths for w in row]
-
-    def flat(v: VertexId) -> int:
-        return offset[v.layer] + v.pos
-
-    arcs = [
-        (offset[i] + j, offset[i] + j + 1)
-        for i, row in enumerate(g.widths)
-        for j in range(len(row) - 1)
-    ]
-    f_left, f_right = false_adjacency_pairs(g)
-    arcs.extend((flat(above), flat(v)) for v, above in f_left)  # ``above`` left of ``v``
-    arcs.extend((flat(v), flat(above)) for v, above in f_right)  # ``above`` right of ``v``
-
+    width = dg.width
     successors: list[list[int]] = [[] for _ in width]
     indegree = [0] * len(width)
-    for a, b in arcs:
+    for a, b in dg.arcs:
         successors[a].append(b)
         indegree[b] += 1
     start = [0] * len(width)
@@ -574,33 +534,34 @@ def _constraints(g: LayeredGraph) -> _Constraints:
         raise SolverInternalError(
             f"ordering constraints contain a cycle: {len(width) - done} vertices unplaced"
         )
-    return _Constraints(denom, offset, width, arcs, start)
+    return start, max(x + w for x, w in zip(start, width))
 
 
 def _solve_in_strip(
-    g: LayeredGraph, c: _Constraints, strip: int, epsilon: Fraction | int
+    g: LayeredGraph, dg: DifferenceGraph, start: list[int], strip: int
 ) -> tuple[Representation, Fraction]:
     """Gap-minimal valid layout inside [0, strip] (scaled units), and its gap.
 
-    Needs ``c.narrowest <= strip``.  The dual of minimizing the sum over rows
-    of (x_last - x_first) sends one unit from each row's first vertex to its
-    last over arcs a -> b of cost -w_a (x_b >= x_a + w_a), origin -> v of
-    cost 0 (x_v >= 0) and v -> origin of cost S - w_v (x_v <= S - w_v).  Each
-    cost is reduced by the left-compacted starts, which makes it
-    non-negative.  An arc carries at most the units routed, so with one more
-    unit of capacity none saturates and the optimal potentials meet every
-    constraint: x_v = start_v - pot_v + pot_origin.  Complementary slackness
-    makes that layout optimal, and the duality gap check below certifies it.
+    Needs the left-compacted ``start`` to fit the strip.  The dual of
+    minimizing the sum over rows of (x_last - x_first) sends one unit from
+    each row's first vertex to its last over arcs a -> b of cost -w_a
+    (x_b >= x_a + w_a), origin -> v of cost 0 (x_v >= 0) and v -> origin of
+    cost S - w_v (x_v <= S - w_v).  Each cost is reduced by the
+    left-compacted starts, which makes it non-negative.  An arc carries at
+    most the units routed, so with one more unit of capacity none saturates
+    and the optimal potentials meet every constraint:
+    x_v = start_v - pot_v + pot_origin.  Complementary slackness makes that
+    layout optimal, and the duality gap check below certifies it.
     """
-    start, width = c.start, c.width
+    width, offset = dg.width, dg.offset
     origin = len(width)
     rows = [
-        (c.offset[i], c.offset[i + 1] - 1)
+        (offset[i], offset[i + 1] - 1)
         for i in range(g.num_layers)
-        if c.offset[i + 1] - c.offset[i] > 1
+        if offset[i + 1] - offset[i] > 1
     ]
     capacity = len(rows) + 1
-    arcs = [Arc(a, b, 0, capacity, start[b] - start[a] - width[a]) for a, b in c.arcs]
+    arcs = [Arc(a, b, 0, capacity, start[b] - start[a] - width[a]) for a, b in dg.arcs]
     for v in range(origin):
         arcs.append(Arc(origin, v, 0, capacity, start[v]))
         arcs.append(Arc(v, origin, 0, capacity, strip - width[v] - start[v]))
@@ -615,7 +576,7 @@ def _solve_in_strip(
         arcs=tuple(arcs),
         imbalance=imbalance,
         supply=len(rows),
-        denominator=c.denominator,
+        denominator=dg.denominator,
         node_index={node: k for k, node in enumerate(nodes)},
         arc_index={(arc.tail, arc.head): k for k, arc in enumerate(arcs)},
         element_slot=(None,) * len(nodes),
@@ -632,10 +593,10 @@ def _solve_in_strip(
     gap_units = spread - sum(sum(width[first:last]) for first, last in rows)
     shift = min(x)
     representation = Representation(
-        x={v: Fraction(xv - shift, c.denominator) for v, xv in zip(vertices, x)},
-        epsilon=Fraction(epsilon),
+        x={v: Fraction(xv - shift, dg.denominator) for v, xv in zip(vertices, x)},
+        epsilon=Fraction(dg.epsilon, dg.denominator),
     )
-    return representation, Fraction(gap_units, c.denominator)
+    return representation, Fraction(gap_units, dg.denominator)
 
 
 def minimize_area(g: LayeredGraph, epsilon: Fraction | int = 1) -> AreaResult:
@@ -648,12 +609,13 @@ def minimize_area(g: LayeredGraph, epsilon: Fraction | int = 1) -> AreaResult:
     oracle reports the same outcome on such instances).
     """
     _require_valid(g)
-    c = _constraints(g)
+    dg = difference_graph(g, epsilon)
+    start, narrowest = _left_compacted(dg)
     strip = g.max_width * g.max_layer_size
-    if c.narrowest > strip * c.denominator:
+    if narrowest > strip * dg.denominator:
         raise StripInfeasibleError(f"no valid layout fits the strip of width {strip}")
     representation, gap_total = _solve_in_strip(
-        g, c, int(strip * c.denominator), epsilon
+        g, dg, start, int(strip * dg.denominator)
     )
     report = contact_report(g, representation)
     if report.false_adjacencies:
@@ -669,23 +631,22 @@ def minimize_bounding_box(g: LayeredGraph, epsilon: Fraction | int = 1) -> Bound
     """Narrowest valid layout, which must fit the strip of width w_max * K.
 
     The narrowest width W* of any valid layout is the width of the
-    left-compacted layout (`_constraints`).  One min-cost flow, the same as
-    `minimize_area`'s but in the strip of width W*, then picks the layout of
-    least total gap among the narrowest.  The strip caps the width: when W*
-    exceeds w_max * K, StripInfeasibleError names both numbers and no flow
+    left-compacted layout (`_left_compacted`).  One min-cost flow, the same
+    as `minimize_area`'s but in the strip of width W*, then picks the layout
+    of least total gap among the narrowest.  The strip caps the width: when
+    W* exceeds w_max * K, StripInfeasibleError names both numbers and no flow
     is solved.  Requires integer widths.
     """
     _require_valid(g)
     if any(w.denominator != 1 for row in g.widths for w in row):
         raise InvalidInstanceError("bounding-box minimization requires integer widths")
-    c = _constraints(g)
-    width = c.narrowest
+    dg = difference_graph(g, epsilon)
+    start, narrowest = _left_compacted(dg)
+    width = Fraction(narrowest, dg.denominator)
     strip = int(g.max_width) * g.max_layer_size
     if width > strip:
         raise StripInfeasibleError(
             f"narrowest valid layout is {width} wide; strip w_max*K is {strip}"
         )
-    representation, _ = _solve_in_strip(g, c, width, epsilon)
-    return BoundingBoxResult(
-        representation=representation, width=Fraction(width), flow_solves=1
-    )
+    representation, _ = _solve_in_strip(g, dg, start, narrowest)
+    return BoundingBoxResult(representation=representation, width=width, flow_solves=1)

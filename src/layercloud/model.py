@@ -8,13 +8,16 @@ realized, which contacts are forbidden (false adjacencies), and how much
 whitespace a layout spends on gaps.
 
 All arithmetic is exact: widths, coordinates and the contact threshold are
-`fractions.Fraction` values, so every predicate below is unambiguous.
+`fractions.Fraction` values, so every predicate below is unambiguous.  The
+solvers share `difference_graph`, the constraints scaled once to integers;
+they compute on integers and return to `Fraction` only in a `Representation`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, NamedTuple
 
 
@@ -408,3 +411,69 @@ def false_adjacency_pairs(
             if l < size_above - 1:
                 f_right.add((VertexId(i, j), VertexId(i + 1, l + 1)))
     return frozenset(f_left), frozenset(f_right)
+
+
+def common_denominator(g: LayeredGraph, epsilon: Fraction | int) -> int:
+    """D: the lcm of the denominators of every width and of epsilon.
+
+    Scaled by D, every width and epsilon is an integer, and so is every
+    coordinate a solver derives from them by sums and differences.
+    """
+    widths = (w.denominator for row in g.widths for w in row)
+    return lcm(Fraction(epsilon).denominator, *widths)
+
+
+@dataclass(frozen=True)
+class DifferenceGraph:
+    """Row order plus the nearest forbidden pairs, as integer constraints.
+
+    Vertex (i, j) has the flat index ``offset[i] + j``; widths and epsilon
+    are scaled by ``denominator`` (`common_denominator`).  An arc (a, b)
+    means x_b >= x_a + width[a].  ``f_left`` puts the upper vertex of an F_L
+    pair left of the lower one, ``f_right`` the lower left of the upper; both
+    follow the lower vertex in row-major order.  A layout is valid exactly
+    when it meets every arc.
+    """
+
+    denominator: int
+    offset: tuple[int, ...]  # flat index of each row's first vertex, then the total
+    width: tuple[int, ...]
+    epsilon: int
+    order: tuple[tuple[int, int], ...]
+    f_left: tuple[tuple[int, int], ...]
+    f_right: tuple[tuple[int, int], ...]
+
+    @property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        return self.order + self.f_left + self.f_right
+
+
+def difference_graph(g: LayeredGraph, epsilon: Fraction | int = 1) -> DifferenceGraph:
+    """The difference constraints of a graph, built once for every solver.
+
+    The forbidden pairs are those of `false_adjacency_pairs`; keeping them
+    apart, together with row order, keeps out every false adjacency.
+    """
+    denom = common_denominator(g, epsilon)
+    offset = [0]
+    for row in g.widths:
+        offset.append(offset[-1] + len(row))
+    order = [
+        (offset[i] + j, offset[i] + j + 1)
+        for i, row in enumerate(g.widths)
+        for j in range(len(row) - 1)
+    ]
+    f_left, f_right = false_adjacency_pairs(g)
+
+    def flat(v: VertexId) -> int:
+        return offset[v.layer] + v.pos
+
+    return DifferenceGraph(
+        denominator=denom,
+        offset=tuple(offset),
+        width=tuple(int(w * denom) for row in g.widths for w in row),
+        epsilon=int(Fraction(epsilon) * denom),
+        order=tuple(order),
+        f_left=tuple((flat(above), flat(v)) for v, above in sorted(f_left)),
+        f_right=tuple((flat(v), flat(above)) for v, above in sorted(f_right)),
+    )

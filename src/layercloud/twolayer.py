@@ -18,6 +18,10 @@ instances.  Beyond that limit the sweep keeps a single geometry, resolving
 ties toward the full slide, so the operation count stays linear in vertices
 plus edges with one constant across sizes.
 
+The sweep computes on integers: its widths, epsilon and the forbidden pairs
+that bound each placement come from `model.difference_graph`, and positions
+return to `Fraction` only in the final representation.
+
 The sweep is a heuristic, not an exact solver, at any size.  On
 ``gen_random_instance(2, [6, 6], (1, 9), seed=29)`` it realizes 17 contacts
 where the optimum (`exact.solve_branch_and_bound`) is 18, and on two-row
@@ -32,12 +36,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
+    DifferenceGraph,
     InvalidInstanceError,
     LayeredGraph,
     Representation,
     VertexId,
     contact_report,
-    false_adjacency_pairs,
+    difference_graph,
     validate_graph,
 )
 
@@ -157,24 +162,21 @@ def current_block(g: LayeredGraph, r: Representation, v: VertexId) -> Block:
 class _SweepContext:
     """Immutable precomputations shared by every state of one sweep."""
 
-    def __init__(self, g: LayeredGraph, epsilon: Fraction) -> None:
+    def __init__(self, g: LayeredGraph, dg: DifferenceGraph) -> None:
         self.g = g
-        self.eps = epsilon
+        self.eps = dg.epsilon
+        self.denominator = dg.denominator
         self.opp = _opposite_intervals(g)
-        self.widths = [
-            [g.width(VertexId(i, j)) for j in range(g.layer_size(i))] for i in (0, 1)
-        ]
-        f_left, f_right = false_adjacency_pairs(g)
+        split = dg.offset[1]
+        self.widths = [list(dg.width[:split]), list(dg.width[split:])]
+        vertices = list(g.vertices())
         # For each vertex: opposite vertices it must stay right of (left
-        # bounds) and left of (right blockers).
+        # bounds) and left of (right blockers), from the F_L and F_R arcs.
         self.left_bounds: dict[VertexId, list[VertexId]] = {}
         self.right_blockers: dict[VertexId, list[VertexId]] = {}
-        for a, b in sorted(f_left):
-            self.left_bounds.setdefault(a, []).append(b)
-            self.right_blockers.setdefault(b, []).append(a)
-        for a, b in sorted(f_right):
-            self.left_bounds.setdefault(b, []).append(a)
-            self.right_blockers.setdefault(a, []).append(b)
+        for a, b in dg.f_left + dg.f_right:
+            self.left_bounds.setdefault(vertices[b], []).append(vertices[a])
+            self.right_blockers.setdefault(vertices[a], []).append(vertices[b])
         self.operations = 0
 
 
@@ -186,7 +188,7 @@ class _SweepState:
     def __init__(self, ctx: _SweepContext) -> None:
         self.ctx = ctx
         g = ctx.g
-        self.x: list[list[Fraction | None]] = [
+        self.x: list[list[int | None]] = [
             [None] * g.layer_size(0),
             [None] * g.layer_size(1),
         ]
@@ -201,16 +203,16 @@ class _SweepState:
         twin.realized = self.realized
         return twin
 
-    def pos(self, v: VertexId) -> Fraction | None:
+    def pos(self, v: VertexId) -> int | None:
         return self.x[v.layer][v.pos]
 
-    def width(self, v: VertexId) -> Fraction:
+    def width(self, v: VertexId) -> int:
         return self.ctx.widths[v.layer][v.pos]
 
-    def right(self, v: VertexId) -> Fraction:
+    def right(self, v: VertexId) -> int:
         return self.pos(v) + self.width(v)
 
-    def overlap_at(self, v: VertexId, x: Fraction, z: VertexId) -> Fraction:
+    def overlap_at(self, v: VertexId, x: int, z: VertexId) -> int:
         return min(x + self.width(v), self.right(z)) - max(x, self.pos(z))
 
     def placed_opposite_neighbors(self, v: VertexId) -> list[VertexId]:
@@ -220,7 +222,7 @@ class _SweepState:
             VertexId(row, m) for m in range(lo, hi + 1) if self.x[row][m] is not None
         ]
 
-    def hard_lower_bound(self, v: VertexId) -> Fraction | None:
+    def hard_lower_bound(self, v: VertexId) -> int | None:
         bound = None
         for z in self.ctx.left_bounds.get(v, ()):
             if self.pos(z) is not None:
@@ -228,7 +230,7 @@ class _SweepState:
                 bound = edge if bound is None or edge > bound else bound
         return bound
 
-    def place(self, v: VertexId, x: Fraction) -> None:
+    def place(self, v: VertexId, x: int) -> None:
         self.ctx.operations += 1
         self.x[v.layer][v.pos] = x
         if v.pos > 0:
@@ -238,7 +240,7 @@ class _SweepState:
                 self.block_start[v.layer][pred.pos] if abuts else v.pos
             )
 
-    def slide_is_valid(self, members: list[VertexId], delta: Fraction) -> bool:
+    def slide_is_valid(self, members: list[VertexId], delta: int) -> bool:
         for u in members:
             for z in self.ctx.right_blockers.get(u, ()):
                 if self.pos(z) is not None:
@@ -247,7 +249,7 @@ class _SweepState:
                         return False
         return True
 
-    def keep_slide_bound(self, members: list[VertexId], delta: Fraction) -> Fraction:
+    def keep_slide_bound(self, members: list[VertexId], delta: int) -> int:
         """Largest slide <= delta that stays valid and loses no realized contact."""
         bound = delta
         for u in members:
@@ -261,9 +263,9 @@ class _SweepState:
                     # The overlap shrinks to eps when u's left edge reaches
                     # right(z) - eps; beyond that the contact dies.
                     bound = min(bound, self.right(z) - self.ctx.eps - self.pos(u))
-        return max(bound, Fraction(0))
+        return max(bound, 0)
 
-    def slide_delta_contacts(self, members: list[VertexId], delta: Fraction) -> int:
+    def slide_delta_contacts(self, members: list[VertexId], delta: int) -> int:
         """Net realized-contact change if ``members`` all move right by delta."""
         change = 0
         for u in members:
@@ -274,7 +276,7 @@ class _SweepState:
                 change += int(after) - int(before)
         return change
 
-    def apply_slide(self, members: list[VertexId], delta: Fraction) -> None:
+    def apply_slide(self, members: list[VertexId], delta: int) -> None:
         for u in members:
             self.ctx.operations += 1
             self.x[u.layer][u.pos] = self.pos(u) + delta
@@ -314,11 +316,12 @@ def _advance(state: _SweepState, v: VertexId, fan: VertexId) -> list[_SweepState
             state.realized += int(c1 == pred_right)
             delta = (state.pos(v) + eps - state.width(fan)) - state.pos(fan)
             if delta <= 0:
-                raise SweepError(f"non-positive slide {delta} for {v}")
+                slide = Fraction(delta, state.ctx.denominator)
+                raise SweepError(f"non-positive slide {slide} for {v}")
             start = state.block_start[fan.layer][fan.pos]
             members = [VertexId(fan.layer, p) for p in range(start, fan.pos + 1)]
             keep = state.keep_slide_bound(members, delta)
-            candidates: list[tuple[int, str, Fraction]] = []
+            candidates: list[tuple[int, str, int]] = []
             if keep != delta and state.slide_is_valid(members, delta):
                 candidates.append(
                     (state.slide_delta_contacts(members, delta), "full", delta)
@@ -368,11 +371,12 @@ def maximize_contacts_2layer(
         raise InvalidInstanceError(
             f"epsilon {eps} exceeds the smallest width {g.min_width}"
         )
-    ctx = _SweepContext(g, eps)
+    dg = difference_graph(g, eps)
+    ctx = _SweepContext(g, dg)
     schedule = _order_with_fans(g)
     root = _SweepState(ctx)
     first, _ = schedule[0]
-    root.place(first, Fraction(0))
+    root.place(first, 0)
     limit = FRONT_CAP if g.num_vertices <= TIE_SEARCH_VERTEX_LIMIT else 1
     front = [root]
     for v, fan in schedule[1:]:
@@ -399,7 +403,9 @@ def maximize_contacts_2layer(
         shift = min(coords.values())
         finalists.append({v: x - shift for v, x in coords.items()})
     chosen = min(finalists, key=lambda c: [c[v] for v in sorted(c)])
-    representation = Representation(x=chosen, epsilon=eps)
+    representation = Representation(
+        x={v: Fraction(x, dg.denominator) for v, x in chosen.items()}, epsilon=eps
+    )
     report = contact_report(g, representation)
     if report.false_adjacencies:
         raise SweepError("sweep produced a false adjacency")

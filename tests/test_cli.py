@@ -167,6 +167,19 @@ class TestGen:
         assert "--sizes" in capsys.readouterr().out
         assert not out.exists()
 
+    @pytest.mark.parametrize("epsilon", ["x", "1/0", "0", "-1/2"])
+    def test_bad_epsilon_rejected(self, tmp_path, capsys, epsilon):
+        """Not a rational, or not positive: every contact solver rejects it."""
+        out = tmp_path / "x.json"
+        assert main(["gen", "--sizes", "2,2", f"--epsilon={epsilon}", "--out", str(out)]) == 1
+        assert "--epsilon" in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_rational_epsilon_written(self, tmp_path):
+        out = tmp_path / "half.json"
+        assert main(["gen", "--sizes", "2,2", "--epsilon", "1/2", "--out", str(out)]) == 0
+        assert load_instance(out).epsilon == Fraction(1, 2)
+
     def test_width_range_without_colon_rejected(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         assert main(["gen", "--sizes", "2,2", "--width-range", "5", "--out", str(out)]) == 1

@@ -161,6 +161,38 @@ class TestBranchAndBound:
         assert a == b
 
 
+# export_lp of the instance in test_fractional_data_scales_to_integers, byte
+# for byte: each row scaled by the lcm of its own denominators.
+RATIONAL_LP = """\
+Minimize
+ obj: c_0_0__0_1 + c_0_0__1_0 + c_0_1__1_0 + c_0_1__1_1 + c_1_0__1_1
+Subject To
+ order_0_0__0_1: + 2 x_0_0 - 2 x_0_1 <= -3
+ habut_0_0__0_1: + 2 x_0_1 - 2 x_0_0 - 13 c_0_0__0_1 <= 3
+ vlow_0_0__1_0: + 2 x_1_0 - 2 x_0_0 - 13 c_0_0__1_0 <= 2
+ vhigh_0_0__1_0: + 2 x_0_0 - 2 x_1_0 - 13 c_0_0__1_0 <= 1
+ vlow_0_1__1_0: + 2 x_1_0 - 2 x_0_1 - 13 c_0_1__1_0 <= 2
+ vhigh_0_1__1_0: + 2 x_0_1 - 2 x_1_0 - 13 c_0_1__1_0 <= 1
+ vlow_0_1__1_1: + 2 x_1_1 - 2 x_0_1 - 13 c_0_1__1_1 <= 2
+ vhigh_0_1__1_1: + 2 x_0_1 - 2 x_1_1 - 13 c_0_1__1_1 <= 3
+ order_1_0__1_1: + 1 x_1_0 - 1 x_1_1 <= -1
+ habut_1_0__1_1: + 2 x_1_1 - 2 x_1_0 - 13 c_1_0__1_1 <= 2
+ fright_0_0__1_1: + 2 x_0_0 - 2 x_1_1 <= -3
+Bounds
+ x_0_0 free
+ x_0_1 free
+ x_1_0 free
+ x_1_1 free
+Binary
+ c_0_0__0_1
+ c_0_0__1_0
+ c_0_1__1_0
+ c_0_1__1_1
+ c_1_0__1_1
+End
+"""
+
+
 LP_ROW = re.compile(
     r"^ [A-Za-z]\w*: (?:[+-] \d+ [A-Za-z]\w*\s?)+<= -?\d+$"
 )
@@ -276,6 +308,7 @@ class TestExportLp:
         g = build_graph([["3/2", "3/2"], [1, 2]], [[[0, 0], [0, 1]]])
         text = export_lp(build_model(g, Fraction(1, 2)))
         parse_lp(text)  # integer-coefficient grammar accepted the rows
+        assert text == RATIONAL_LP
 
     def test_round_trip_objective_matches_solver(self):
         rng = random.Random(53)

@@ -1,22 +1,31 @@
-"""Tests for the core model: graph validation, contact semantics, F-pairs."""
+"""Tests for the core model: graph validation, contact semantics, F-pairs,
+the shared difference graph and the solvers' invariance under scaling."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from layercloud.exact import build_model, solve_branch_and_bound
+from layercloud.flow import minimize_area
+from layercloud.generate import gen_random_instance, random_layer_sizes
 from layercloud.model import (
     InvalidInstanceError,
     Representation,
+    StripInfeasibleError,
     VertexId,
     as_fraction,
     build_graph,
+    common_denominator,
     contact_report,
+    difference_graph,
     false_adjacency_pairs,
     validate_graph,
     validate_representation,
 )
+from layercloud.twolayer import maximize_contacts_2layer
 
 
 def fan_instance():
@@ -229,3 +238,116 @@ class TestLeftPackedNegativeControl:
         report = contact_report(g, left_packed(g))
         assert report.gap_total == 0
         assert report.false_adjacencies  # validity is the binding constraint
+
+
+def divided(g, k):
+    """The same graph with every width divided by ``k``."""
+    return build_graph(
+        [[w / k for w in row] for row in g.widths],
+        [list(row) for row in g.up_neighbors],
+    )
+
+
+def left_compacted(dg):
+    """Longest path over the arcs by plain relaxation, independent of the solvers."""
+    x = [0] * len(dg.width)
+    for _ in range(len(x)):
+        for a, b in dg.arcs:
+            x[b] = max(x[b], x[a] + dg.width[a])
+    return x
+
+
+class TestDifferenceGraph:
+    def test_fan_census(self):
+        """Row order only: a full fan has no forbidden pairs."""
+        dg = difference_graph(fan_instance(), 1)
+        assert dg.offset == (0, 1, 4)
+        assert dg.width == (3, 1, 1, 1)
+        assert dg.epsilon == 1 and dg.denominator == 1
+        assert dg.order == ((1, 2), (2, 3))
+        assert dg.f_left == () and dg.f_right == ()
+        assert dg.arcs == dg.order
+
+    def test_forbidden_pair_arcs(self):
+        """fleft_0_1__1_0: v[1,0] left of v[0,1]; fright_0_0__1_2: v[0,0] left of v[1,2]."""
+        g = build_graph([[2, 2], [1, 2, 1]], [[[0, 1], [1, 2]]])
+        dg = difference_graph(g, 1)
+        assert dg.order == ((0, 1), (2, 3), (3, 4))
+        assert dg.f_left == ((2, 1),)
+        assert dg.f_right == ((0, 4),)
+        assert dg.arcs == ((0, 1), (2, 3), (3, 4), (2, 1), (0, 4))
+
+    def test_denominator_is_lcm_of_widths_and_epsilon(self):
+        g = build_graph([["3/2", "5/4"], [2]], [[[0, 0], [0, 0]]])
+        assert common_denominator(g, Fraction(1, 3)) == 12
+        dg = difference_graph(g, Fraction(1, 3))
+        assert dg.denominator == 12
+        assert dg.width == (18, 15, 24)
+        assert dg.epsilon == 4
+        assert difference_graph(fan_instance(), Fraction(1, 2)).denominator == 2
+        assert difference_graph(fan_instance(), 1).width == (3, 1, 1, 1)
+
+    def test_left_compacted_layout_is_valid(self):
+        """Meeting every arc keeps out every false adjacency, rational data too."""
+        rng = random.Random(67)
+        cases = [build_graph([["3/2", "1/2", "5/3"], [1, "7/3"]], [[[0, 0], [0, 1], [1, 1]]])]
+        for seed in range(30):
+            layers = rng.randint(2, 4)
+            g = gen_random_instance(layers, random_layer_sizes(layers, 16, rng), (1, 7), seed)
+            cases.append(divided(g, rng.choice((2, 3, 6))))
+        for g in cases:
+            dg = difference_graph(g, Fraction(1, 2))
+            x = left_compacted(dg)
+            r = Representation(
+                x={v: Fraction(xv, dg.denominator) for v, xv in zip(g.vertices(), x)},
+                epsilon=Fraction(1, 2),
+            )
+            assert validate_representation(g, r) == []
+            assert contact_report(g, r).false_adjacencies == frozenset()
+
+
+def halved(r):
+    return {v: x / 2 for v, x in r.x.items()}
+
+
+class TestScaleInvariance:
+    """Halving every width and epsilon halves every coordinate and nothing else."""
+
+    SEEDS = range(30)
+
+    def test_branch_and_bound(self):
+        rng = random.Random(71)
+        for seed in self.SEEDS:
+            layers = rng.randint(2, 4)
+            g = gen_random_instance(layers, random_layer_sizes(layers, 9, rng), (1, 5), seed)
+            whole = solve_branch_and_bound(build_model(g, 1))
+            half = solve_branch_and_bound(build_model(divided(g, 2), Fraction(1, 2)))
+            assert half.lost_count == whole.lost_count, f"seed {seed}"
+            assert half.representation.x == halved(whole.representation), f"seed {seed}"
+
+    def test_two_layer_sweep(self):
+        rng = random.Random(73)
+        for seed in self.SEEDS:
+            g = gen_random_instance(2, random_layer_sizes(2, 40, rng), (1, 9), seed)
+            whole = maximize_contacts_2layer(g, 1)
+            half = maximize_contacts_2layer(divided(g, 2), Fraction(1, 2))
+            assert half.realized_count == whole.realized_count, f"seed {seed}"
+            assert half.operations == whole.operations, f"seed {seed}"
+            assert half.representation.x == halved(whole.representation), f"seed {seed}"
+
+    def test_area(self):
+        rng = random.Random(79)
+        solved = 0
+        for seed in self.SEEDS:
+            layers = rng.randint(1, 4)
+            g = gen_random_instance(layers, random_layer_sizes(layers, 30, rng), (1, 9), seed)
+            try:
+                whole = minimize_area(g, 1)
+            except StripInfeasibleError:
+                with pytest.raises(StripInfeasibleError):
+                    minimize_area(divided(g, 2), Fraction(1, 2))
+                continue
+            half = minimize_area(divided(g, 2), Fraction(1, 2))
+            assert half.gap_total == whole.gap_total / 2, f"seed {seed}"
+            solved += 1
+        assert solved >= 20
