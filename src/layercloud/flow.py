@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import lcm
 from typing import Iterable
 
 from .model import (
@@ -48,6 +47,7 @@ from .model import (
     Representation,
     StripInfeasibleError,
     VertexId,
+    common_denominator,
     contact_report,
     difference_graph,
     validate_graph,
@@ -155,7 +155,7 @@ def build_network(g: LayeredGraph, supply: Fraction | int | None = None) -> Flow
     fail `validate_graph`.
     """
     _require_valid(g)
-    denom = lcm(*(w.denominator for row in g.widths for w in row))
+    denom = common_denominator(g, 1)  # the paper's network has no epsilon
     if supply is None:
         supply = g.max_width * g.max_layer_size
     supply = Fraction(supply)
