@@ -32,6 +32,7 @@ from .model import (
     Representation,
     StripInfeasibleError,
     contact_report,
+    difference_graph,
     validate_graph,
 )
 from .oracle import (
@@ -64,10 +65,9 @@ def _oracle_config(instance: Instance) -> GridSearchConfig:
 
 def _print_summary(path: str, g: LayeredGraph) -> None:
     sizes = [g.layer_size(i) for i in range(g.num_layers)]
-    strip = g.max_width * g.max_layer_size
     print(
         f"instance: {path}  L={g.num_layers} sizes={sizes} "
-        f"W_max={g.max_row_width} strip={strip}"
+        f"W_max={g.max_row_width} strip={g.strip_width}"
     )
 
 
@@ -120,9 +120,6 @@ def _solve_area_min(args, path: str, instance: Instance) -> None:
     started = time.perf_counter()
     outcome = minimize_area(g, instance.epsilon)
     elapsed = (time.perf_counter() - started) * 1000
-    report = contact_report(g, outcome.representation)
-    if report.gap_total != outcome.gap_total or report.false_adjacencies:
-        raise SolverInternalError("report does not match the emitted layout")
     print("solver: min-cost flow (area)")
     print(f"objective: gap_total {outcome.gap_total}")
     print(f"time: {elapsed:.1f} ms")
@@ -152,14 +149,16 @@ def _solve_bbox_min(args, path: str, instance: Instance) -> None:
     print(f"objective: width {outcome.width} ({outcome.flow_solves} flow solves)")
     print(f"time: {elapsed:.1f} ms")
     if args.oracle_check:
-        # Minimality certificate: one narrower column must be infeasible.
+        # Minimality certificate: a strip one network unit (1/D) narrower
+        # must be infeasible; D is the scale of `build_network`.
         if outcome.width > g.max_row_width:
+            narrower = outcome.width - Fraction(1, difference_graph(g).denominator)
             try:
-                solve_min_cost_flow(build_network(g, supply=outcome.width - 1))
+                solve_min_cost_flow(build_network(g, supply=narrower))
             except FlowInfeasibleError:
                 pass
             else:
-                raise OracleMismatch(f"width {outcome.width - 1} is also feasible")
+                raise OracleMismatch(f"width {narrower} is also feasible")
         print("oracle-check: ok")
     _emit_outputs(args, g, outcome.representation)
 
@@ -184,9 +183,6 @@ def _solve_max_contacts(args, path: str, instance: Instance) -> None:
         realized = num_edges - outcome.lost_count
         solver = "branch and bound"
     elapsed = (time.perf_counter() - started) * 1000
-    report = contact_report(g, representation)
-    if len(report.realized) != realized or report.false_adjacencies:
-        raise SolverInternalError("report does not match the emitted layout")
     print(f"solver: {solver}")
     print(f"objective: realized {realized}/{num_edges} (lost {num_edges - realized})")
     print(f"time: {elapsed:.1f} ms")

@@ -7,8 +7,9 @@ a big-M term.  With indicators fixed, every remaining row is a difference
 constraint, so feasibility is exact negative-cycle detection and needs no LP.
 The hard rows are the arcs of `model.difference_graph`, and every row the
 search scans has integer bounds (widths and epsilon scaled once by their
-common denominator); the witness returns to `Fraction` only at the end.  The
-`LinearRow` form keeps the unscaled data for `export_lp`.
+common denominator); the witness returns to `Fraction` only in
+`model.scaled_layout`.  The `LinearRow` form keeps the unscaled data for
+`export_lp`.
 
 The solver is a depth-first branch and bound over the indicators in a fixed
 edge order, trying 0 (keep the contact) first.  At every node the all-zeros
@@ -33,7 +34,7 @@ from .model import (
     common_denominator,
     contact_report,
     difference_graph,
-    validate_graph,
+    scaled_layout,
 )
 
 
@@ -145,12 +146,8 @@ def build_model(g: LayeredGraph, epsilon: Fraction | int = 1) -> ContactModel:
     Big M is the total width plus epsilon: no layout needs more room, so a
     switched-off row can never bind.
     """
-    violations = validate_graph(g)
-    if violations:
-        raise InvalidInstanceError(f"invalid graph: {violations[0]}")
+    dg = difference_graph(g, epsilon)
     eps = Fraction(epsilon)
-    if eps <= 0:
-        raise InvalidInstanceError(f"epsilon must be positive, got {eps}")
     if eps > g.min_width:
         raise InvalidInstanceError(
             f"epsilon {eps} exceeds the smallest width {g.min_width}"
@@ -159,7 +156,6 @@ def build_model(g: LayeredGraph, epsilon: Fraction | int = 1) -> ContactModel:
     edges = tuple(
         sorted(g.edges(), key=lambda e: (e[0].layer, e[0].pos, e[1].layer, e[1].pos))
     )
-    dg = difference_graph(g, eps)
     width, eps_units = dg.width, dg.epsilon
     vertices = list(g.vertices())
     var_index = {v: i for i, v in enumerate(vertices)}
@@ -302,12 +298,9 @@ def solve_branch_and_bound(model: ContactModel) -> ExactResult:
         best_count = len(edges)
         best_positions = witness
 
-    shift = min(best_positions)
-    scale = common_denominator(g, model.epsilon)
-    coords = {
-        v: Fraction(best_positions[i] - shift, scale) for v, i in model.var_index.items()
-    }
-    representation = Representation(x=coords, epsilon=model.epsilon)
+    representation = scaled_layout(
+        g, best_positions, common_denominator(g, model.epsilon), model.epsilon
+    )
     report = contact_report(g, representation)
     if report.false_adjacencies:
         raise AssertionError("witness has a false adjacency despite hard rows")

@@ -29,8 +29,11 @@ successive-shortest-path method: Dijkstra on reduced costs sets node
 potentials, then a Dinic blocking-flow search routes as much as it can over
 the arcs of reduced cost 0, a handful of phases in all.
 
-All computations are on integers, scaled once by `model.difference_graph`,
-so optima and coordinates are exact.
+All computations are on integers.  Both the solvers and `build_network`
+enter through `model.difference_graph`, which validates the graph and
+epsilon and scales widths once to integers; the solvers leave through
+`model.scaled_layout`.  Optima and coordinates are exact, for rational
+widths too.
 """
 
 from __future__ import annotations
@@ -47,10 +50,9 @@ from .model import (
     Representation,
     StripInfeasibleError,
     VertexId,
-    common_denominator,
     contact_report,
     difference_graph,
-    validate_graph,
+    scaled_layout,
 )
 
 RECT_A = "rect_a"
@@ -141,23 +143,18 @@ class FlowResult:
         return Fraction(self.cost_units, network.denominator)
 
 
-def _require_valid(g: LayeredGraph) -> None:
-    violations = validate_graph(g)
-    if violations:
-        raise InvalidInstanceError(f"invalid graph: {violations[0]}")
-
-
 def build_network(g: LayeredGraph, supply: Fraction | int | None = None) -> FlowNetwork:
     """Construct the flow network, optionally with a reduced source supply.
 
     The default supply is w_max * K, the strip width; the narrowest valid
-    width is the smallest supply that admits a flow.  Rejects graphs that
-    fail `validate_graph`.
+    width is the smallest supply that admits a flow.  The graph's validation,
+    its scale and its integer widths come from `model.difference_graph`
+    (the paper's network has no epsilon).
     """
-    _require_valid(g)
-    denom = common_denominator(g, 1)  # the paper's network has no epsilon
+    dg = difference_graph(g)
+    denom = dg.denominator
     if supply is None:
-        supply = g.max_width * g.max_layer_size
+        supply = g.strip_width
     supply = Fraction(supply)
     supply_units = supply * denom
     if supply_units.denominator != 1:
@@ -220,8 +217,7 @@ def build_network(g: LayeredGraph, supply: Fraction | int | None = None) -> Flow
 
     for i in range(g.num_layers):
         for j in range(g.layer_size(i)):
-            units = g.width(VertexId(i, j)) * denom
-            w = int(units)
+            w = dg.width[dg.offset[i] + j]
             add_arc(index[FlowNode(RECT_A, i, j)], index[FlowNode(RECT_B, i, j)], w, w, 0)
 
     add_arc(source, index[FlowNode(LEFT_BUFFER, 0)], 0, inf, 0)
@@ -569,8 +565,9 @@ def _solve_in_strip(
     for first, last in rows:
         imbalance[first] = 1
         imbalance[last] = -1
-    vertices = list(g.vertices())
-    nodes = tuple(FlowNode(VERTEX, v.layer, v.pos) for v in vertices) + (FlowNode(ORIGIN),)
+    nodes = tuple(FlowNode(VERTEX, v.layer, v.pos) for v in g.vertices()) + (
+        FlowNode(ORIGIN),
+    )
     network = FlowNetwork(
         nodes=nodes,
         arcs=tuple(arcs),
@@ -591,10 +588,8 @@ def _solve_in_strip(
             f"rows of the layout span {spread} units; the flow certifies {certified}"
         )
     gap_units = spread - sum(sum(width[first:last]) for first, last in rows)
-    shift = min(x)
-    representation = Representation(
-        x={v: Fraction(xv - shift, dg.denominator) for v, xv in zip(vertices, x)},
-        epsilon=Fraction(dg.epsilon, dg.denominator),
+    representation = scaled_layout(
+        g, x, dg.denominator, Fraction(dg.epsilon, dg.denominator)
     )
     return representation, Fraction(gap_units, dg.denominator)
 
@@ -608,10 +603,9 @@ def minimize_area(g: LayeredGraph, epsilon: Fraction | int = 1) -> AreaResult:
     the narrowest valid layout is wider than the strip (the brute-force gap
     oracle reports the same outcome on such instances).
     """
-    _require_valid(g)
     dg = difference_graph(g, epsilon)
     start, narrowest = _left_compacted(dg)
-    strip = g.max_width * g.max_layer_size
+    strip = g.strip_width
     if narrowest > strip * dg.denominator:
         raise StripInfeasibleError(f"no valid layout fits the strip of width {strip}")
     representation, gap_total = _solve_in_strip(
@@ -635,15 +629,12 @@ def minimize_bounding_box(g: LayeredGraph, epsilon: Fraction | int = 1) -> Bound
     as `minimize_area`'s but in the strip of width W*, then picks the layout
     of least total gap among the narrowest.  The strip caps the width: when
     W* exceeds w_max * K, StripInfeasibleError names both numbers and no flow
-    is solved.  Requires integer widths.
+    is solved.  Rational widths and epsilon are solved exactly.
     """
-    _require_valid(g)
-    if any(w.denominator != 1 for row in g.widths for w in row):
-        raise InvalidInstanceError("bounding-box minimization requires integer widths")
     dg = difference_graph(g, epsilon)
     start, narrowest = _left_compacted(dg)
     width = Fraction(narrowest, dg.denominator)
-    strip = int(g.max_width) * g.max_layer_size
+    strip = g.strip_width
     if width > strip:
         raise StripInfeasibleError(
             f"narrowest valid layout is {width} wide; strip w_max*K is {strip}"

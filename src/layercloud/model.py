@@ -8,9 +8,10 @@ realized, which contacts are forbidden (false adjacencies), and how much
 whitespace a layout spends on gaps.
 
 All arithmetic is exact: widths, coordinates and the contact threshold are
-`fractions.Fraction` values, so every predicate below is unambiguous.  The
-solvers share `difference_graph`, the constraints scaled once to integers;
-they compute on integers and return to `Fraction` only in a `Representation`.
+`fractions.Fraction` values, so every predicate below is unambiguous.  Every
+solver enters through `difference_graph`, which validates the graph and
+epsilon and scales the constraints once to integers, and leaves through
+`scaled_layout`, which turns its integer layout back into a `Representation`.
 """
 
 from __future__ import annotations
@@ -122,6 +123,11 @@ class LayeredGraph:
     def max_width(self) -> Fraction:
         """w_max: the width of the widest rectangle."""
         return max(w for row in self.widths for w in row)
+
+    @property
+    def strip_width(self) -> Fraction:
+        """w_max * K: the width of the strip the paper poses its layouts in."""
+        return self.max_width * self.max_layer_size
 
     @property
     def max_row_width(self) -> Fraction:
@@ -326,64 +332,52 @@ def contact_report(g: LayeredGraph, r: Representation) -> ContactReport:
     realized iff the x-overlap of the two rectangles is at least epsilon.  Any
     positive-length overlap between rectangles on adjacent layers whose
     vertices are not adjacent is a false adjacency.  Point contacts (overlap
-    exactly 0) are legal for every pair and realized for none.
+    exactly 0) are legal for every pair and realized for none.  Every edge
+    that is not realized is lost.
     """
     missing = [v for v in g.vertices() if v not in r.x]
     if missing:
         raise InvalidInstanceError(f"missing coordinate for {missing[0]}")
     eps = r.epsilon
-    realized: set[Edge] = set()
-    lost: set[Edge] = set()
-    for u, v in g.horizontal_edges():
-        if r.x[u] + g.width(u) == r.x[v]:
-            realized.add((u, v))
-        else:
-            lost.add((u, v))
-    adjacency = {(u, v) for u, v in g.vertical_edges()}
+    x = r.x
+    right = {v: x[v] + g.width(v) for v in g.vertices()}
+    realized: set[Edge] = {(u, v) for u, v in g.horizontal_edges() if right[u] == x[v]}
+    adjacency = set(g.edges())
     false_pairs: set[tuple[VertexId, VertexId]] = set()
     for i in range(g.num_layers - 1):
-        lower = sorted(
-            (VertexId(i, j) for j in range(g.layer_size(i))), key=lambda v: r.x[v]
-        )
+        lower = sorted((VertexId(i, j) for j in range(g.layer_size(i))), key=x.__getitem__)
         upper = sorted(
-            (VertexId(i + 1, j) for j in range(g.layer_size(i + 1))), key=lambda v: r.x[v]
+            (VertexId(i + 1, j) for j in range(g.layer_size(i + 1))), key=x.__getitem__
         )
         # Merge sweep over the two rows; only overlapping pairs are inspected.
         start = 0
         for u in lower:
-            left_u, right_u = r.x[u], r.x[u] + g.width(u)
-            while start < len(upper) and r.x[upper[start]] + g.width(upper[start]) <= left_u:
+            left_u, right_u = x[u], right[u]
+            while start < len(upper) and right[upper[start]] <= left_u:
                 start += 1
             k = start
-            while k < len(upper) and r.x[upper[k]] < right_u:
+            while k < len(upper) and x[upper[k]] < right_u:
                 z = upper[k]
-                overlap = min(right_u, r.x[z] + g.width(z)) - max(left_u, r.x[z])
+                overlap = min(right_u, right[z]) - max(left_u, x[z])
                 if (u, z) in adjacency:
                     if overlap >= eps:
                         realized.add((u, z))
-                    else:
-                        lost.add((u, z))
                 elif overlap > 0:
                     false_pairs.add((u, z))
                 k += 1
-        # Adjacent edges can fall outside the sweep when the overlap is
-        # non-positive (separated rectangles); mark them lost.
-        for edge in adjacency:
-            if edge[0].layer == i and edge not in realized and edge not in lost:
-                lost.add(edge)
+    # Row by row, the gaps telescope to the row's span minus all widths but the last.
     gap_total = Fraction(0)
-    for i in range(g.num_layers):
-        for j in range(g.layer_size(i) - 1):
-            u, v = VertexId(i, j), VertexId(i, j + 1)
-            gap_total += r.x[v] - (r.x[u] + g.width(u))
-    left = min(r.x[v] for v in g.vertices())
-    right = max(r.x[v] + g.width(v) for v in g.vertices())
+    for i, row in enumerate(g.widths):
+        if len(row) > 1:
+            first, last = VertexId(i, 0), VertexId(i, len(row) - 1)
+            gap_total += x[last] - x[first] - sum(row[:-1])
+    left = min(x[v] for v in g.vertices())
     return ContactReport(
         realized=frozenset(realized),
-        lost=frozenset(lost),
+        lost=frozenset(adjacency - realized),
         false_adjacencies=frozenset(false_pairs),
         gap_total=gap_total,
-        bbox_width=right - left,
+        bbox_width=max(right.values()) - left,
     )
 
 
@@ -451,10 +445,19 @@ class DifferenceGraph:
 def difference_graph(g: LayeredGraph, epsilon: Fraction | int = 1) -> DifferenceGraph:
     """The difference constraints of a graph, built once for every solver.
 
-    The forbidden pairs are those of `false_adjacency_pairs`; keeping them
-    apart, together with row order, keeps out every false adjacency.
+    This is every solver's entry: it raises InvalidInstanceError for a graph
+    that fails `validate_graph` (naming the first violation) and for an
+    epsilon that is not positive.  The forbidden pairs are those of
+    `false_adjacency_pairs`; keeping them apart, together with row order,
+    keeps out every false adjacency.
     """
-    denom = common_denominator(g, epsilon)
+    violations = validate_graph(g)
+    if violations:
+        raise InvalidInstanceError(f"invalid graph: {violations[0]}")
+    eps = Fraction(epsilon)
+    if eps <= 0:
+        raise InvalidInstanceError(f"epsilon must be positive, got {eps}")
+    denom = common_denominator(g, eps)
     offset = [0]
     for row in g.widths:
         offset.append(offset[-1] + len(row))
@@ -472,8 +475,24 @@ def difference_graph(g: LayeredGraph, epsilon: Fraction | int = 1) -> Difference
         denominator=denom,
         offset=tuple(offset),
         width=tuple(int(w * denom) for row in g.widths for w in row),
-        epsilon=int(Fraction(epsilon) * denom),
+        epsilon=int(eps * denom),
         order=tuple(order),
         f_left=tuple((flat(above), flat(v)) for v, above in sorted(f_left)),
         f_right=tuple((flat(v), flat(above)) for v, above in sorted(f_right)),
+    )
+
+
+def scaled_layout(
+    g: LayeredGraph, x: list[int], denominator: int, epsilon: Fraction
+) -> Representation:
+    """Every solver's exit: a flat integer layout as a `Representation`.
+
+    ``x`` holds one coordinate per vertex in row-major order (the flat index
+    of `DifferenceGraph`), in units of 1/``denominator``; the layout is
+    shifted so that its leftmost rectangle starts at 0.
+    """
+    shift = min(x)
+    return Representation(
+        x={v: Fraction(xv - shift, denominator) for v, xv in zip(g.vertices(), x)},
+        epsilon=epsilon,
     )

@@ -20,7 +20,7 @@ plus edges with one constant across sizes.
 
 The sweep computes on integers: its widths, epsilon and the forbidden pairs
 that bound each placement come from `model.difference_graph`, and positions
-return to `Fraction` only in the final representation.
+return to `Fraction` only in `model.scaled_layout`.
 
 The sweep is a heuristic, not an exact solver, at any size.  On
 ``gen_random_instance(2, [6, 6], (1, 9), seed=29)`` it realizes 17 contacts
@@ -43,7 +43,7 @@ from .model import (
     VertexId,
     contact_report,
     difference_graph,
-    validate_graph,
+    scaled_layout,
 )
 
 # States carried across ties on desk-scale instances; the largest front ever
@@ -68,15 +68,6 @@ class PlacementOrder:
 
 
 @dataclass(frozen=True)
-class Block:
-    """A maximal run of same-row rectangles whose horizontal contacts all hold."""
-
-    layer: int
-    first: int
-    last: int
-
-
-@dataclass(frozen=True)
 class TwoLayerResult:
     representation: Representation
     realized_count: int
@@ -86,9 +77,6 @@ class TwoLayerResult:
 def _check_two_layers(g: LayeredGraph) -> None:
     if g.num_layers != 2:
         raise InvalidInstanceError(f"sweep requires exactly 2 layers, got {g.num_layers}")
-    violations = validate_graph(g)
-    if violations:
-        raise InvalidInstanceError(f"invalid graph: {violations[0]}")
 
 
 def _opposite_intervals(g: LayeredGraph) -> list[list[tuple[int, int]]]:
@@ -138,25 +126,8 @@ def _order_with_fans(g: LayeredGraph) -> list[tuple[VertexId, VertexId | None]]:
 def placement_order(g: LayeredGraph) -> PlacementOrder:
     """The sweep ordering; rejects graphs that are not valid two-layer inputs."""
     _check_two_layers(g)
+    difference_graph(g)  # validates the graph
     return PlacementOrder(order=tuple(v for v, _ in _order_with_fans(g)))
-
-
-def current_block(g: LayeredGraph, r: Representation, v: VertexId) -> Block:
-    """The maximal abutting run containing ``v`` in a (partial) representation."""
-    first = v.pos
-    while first > 0:
-        left = VertexId(v.layer, first - 1)
-        if left not in r.x or r.x[left] + g.width(left) != r.x[VertexId(v.layer, first)]:
-            break
-        first -= 1
-    last = v.pos
-    size = g.layer_size(v.layer)
-    while last + 1 < size:
-        right = VertexId(v.layer, last + 1)
-        if right not in r.x or r.x[VertexId(v.layer, last)] + g.width(VertexId(v.layer, last)) != r.x[right]:
-            break
-        last += 1
-    return Block(layer=v.layer, first=first, last=last)
 
 
 class _SweepContext:
@@ -364,14 +335,12 @@ def maximize_contacts_2layer(
     the reported number always matches `contact_report` on the output.
     """
     _check_two_layers(g)
+    dg = difference_graph(g, epsilon)
     eps = Fraction(epsilon)
-    if eps <= 0:
-        raise InvalidInstanceError(f"epsilon must be positive, got {eps}")
     if eps > g.min_width:
         raise InvalidInstanceError(
             f"epsilon {eps} exceeds the smallest width {g.min_width}"
         )
-    dg = difference_graph(g, eps)
     ctx = _SweepContext(g, dg)
     schedule = _order_with_fans(g)
     root = _SweepState(ctx)
@@ -393,19 +362,12 @@ def maximize_contacts_2layer(
     best_count = max(state.realized for state in front)
     finalists = []
     for state in front:
-        if state.realized != best_count:
-            continue
-        coords = {
-            VertexId(i, j): state.x[i][j]
-            for i in (0, 1)
-            for j in range(g.layer_size(i))
-        }
-        shift = min(coords.values())
-        finalists.append({v: x - shift for v, x in coords.items()})
-    chosen = min(finalists, key=lambda c: [c[v] for v in sorted(c)])
-    representation = Representation(
-        x={v: Fraction(x, dg.denominator) for v, x in chosen.items()}, epsilon=eps
-    )
+        if state.realized == best_count:
+            flat = state.x[0] + state.x[1]
+            shift = min(flat)
+            finalists.append([x - shift for x in flat])
+    # Ties go to the lexicographically smallest layout, row-major from 0.
+    representation = scaled_layout(g, min(finalists), dg.denominator, eps)
     report = contact_report(g, representation)
     if report.false_adjacencies:
         raise SweepError("sweep produced a false adjacency")

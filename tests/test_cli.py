@@ -78,6 +78,25 @@ class TestSolveCommands:
         assert main(["bbox-min", str(fan_file), "--oracle-check"]) == 0
         assert "width 3" in capsys.readouterr().out
 
+    def test_bbox_min_certifies_rational_width(self, tmp_path, capsys):
+        """W* = 11/2 > W_max = 9/2: the strip 1/2 narrower must be infeasible."""
+        g = build_graph([[1, "1/2", "3/2"], ["1/2", 2, 2]], [[[0, 0], [0, 0], [0, 2]]])
+        path = tmp_path / "halves.json"
+        save_instance(path, Instance(graph=g, epsilon=Fraction(1, 2)))
+        assert main(["bbox-min", str(path), "--oracle-check"]) == 0
+        out = capsys.readouterr().out
+        assert "width 11/2" in out
+        assert "oracle-check: ok" in out
+
+    @pytest.mark.parametrize("command", ["area-min", "bbox-min", "max-contacts"])
+    def test_zero_epsilon_exits_one(self, tmp_path, capsys, command):
+        path = tmp_path / "zero.json"
+        path.write_text(
+            '{"epsilon": "0", "layers": [[3], [1, 1, 1]], "up_neighbors": [[[0, 2]]]}'
+        )
+        assert main([command, str(path)]) == 1
+        assert "epsilon must be positive, got 0" in capsys.readouterr().out
+
     def test_emitted_representation_revalidates(self, fan_file, tmp_path):
         out = tmp_path / "layout.json"
         assert main(["max-contacts", str(fan_file), "--json", str(out)]) == 0

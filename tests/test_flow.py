@@ -370,9 +370,11 @@ class TestMinimizeBoundingBox:
         result = minimize_bounding_box(build_graph([[5]]))
         assert result.width == 5
 
-    def test_rejects_fractional_widths(self):
-        with pytest.raises(InvalidInstanceError):
-            minimize_bounding_box(build_graph([["1/2"]]))
+    def test_rejects_non_positive_epsilon(self):
+        with pytest.raises(InvalidInstanceError, match="epsilon must be positive"):
+            minimize_area(fan_instance(), 0)
+        with pytest.raises(InvalidInstanceError, match="epsilon must be positive"):
+            minimize_bounding_box(fan_instance(), -1)
 
     def test_bounds_minimality_and_solve_budget(self):
         rng = random.Random(31)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from layercloud.exact import build_model, solve_branch_and_bound
-from layercloud.flow import minimize_area
+from layercloud.flow import minimize_area, minimize_bounding_box
 from layercloud.generate import gen_random_instance, random_layer_sizes
 from layercloud.model import (
     InvalidInstanceError,
@@ -22,6 +22,7 @@ from layercloud.model import (
     contact_report,
     difference_graph,
     false_adjacency_pairs,
+    scaled_layout,
     validate_graph,
     validate_representation,
 )
@@ -87,6 +88,7 @@ class TestBuildGraph:
         g = build_graph([[2, 2], [1, 2, 1]], [[[0, 1], [1, 2]]])
         assert g.max_layer_size == 3
         assert g.max_width == 2
+        assert g.strip_width == 6
         assert g.max_row_width == 4
         assert g.total_width == 8
 
@@ -197,6 +199,139 @@ class TestContactReport:
             assert z.layer == u.layer + 1
 
 
+def reference_contact_report(g, r):
+    """The row-pair rescan version of `contact_report`, kept as a reference."""
+    missing = [v for v in g.vertices() if v not in r.x]
+    if missing:
+        raise InvalidInstanceError(f"missing coordinate for {missing[0]}")
+    eps = r.epsilon
+    realized = set()
+    lost = set()
+    for u, v in g.horizontal_edges():
+        if r.x[u] + g.width(u) == r.x[v]:
+            realized.add((u, v))
+        else:
+            lost.add((u, v))
+    adjacency = {(u, v) for u, v in g.vertical_edges()}
+    false_pairs = set()
+    for i in range(g.num_layers - 1):
+        lower = sorted(
+            (VertexId(i, j) for j in range(g.layer_size(i))), key=lambda v: r.x[v]
+        )
+        upper = sorted(
+            (VertexId(i + 1, j) for j in range(g.layer_size(i + 1))), key=lambda v: r.x[v]
+        )
+        start = 0
+        for u in lower:
+            left_u, right_u = r.x[u], r.x[u] + g.width(u)
+            while start < len(upper) and r.x[upper[start]] + g.width(upper[start]) <= left_u:
+                start += 1
+            k = start
+            while k < len(upper) and r.x[upper[k]] < right_u:
+                z = upper[k]
+                overlap = min(right_u, r.x[z] + g.width(z)) - max(left_u, r.x[z])
+                if (u, z) in adjacency:
+                    if overlap >= eps:
+                        realized.add((u, z))
+                    else:
+                        lost.add((u, z))
+                elif overlap > 0:
+                    false_pairs.add((u, z))
+                k += 1
+        for edge in adjacency:
+            if edge[0].layer == i and edge not in realized and edge not in lost:
+                lost.add(edge)
+    gap_total = Fraction(0)
+    for i in range(g.num_layers):
+        for j in range(g.layer_size(i) - 1):
+            u, v = VertexId(i, j), VertexId(i, j + 1)
+            gap_total += r.x[v] - (r.x[u] + g.width(u))
+    left = min(r.x[v] for v in g.vertices())
+    right = max(r.x[v] + g.width(v) for v in g.vertices())
+    return (realized, lost, false_pairs, gap_total, right - left)
+
+
+class TestContactReportMatchesReference:
+    """All five fields agree with the reference on solver and malformed layouts."""
+
+    @staticmethod
+    def graphs(rng, count):
+        for seed in range(count):
+            layers = rng.randint(1, 4)
+            g = gen_random_instance(layers, random_layer_sizes(layers, 12, rng), (1, 6), seed)
+            yield divided(g, rng.choice((1, 1, 2, 3)))
+
+    @staticmethod
+    def solver_layouts(g, rng):
+        eps = min(g.min_width, Fraction(rng.choice((1, 2)), 2))
+        solvers = [lambda: minimize_area(g, eps), lambda: minimize_bounding_box(g, eps)]
+        if g.num_layers == 2:
+            solvers.append(lambda: maximize_contacts_2layer(g, eps))
+        if g.num_vertices <= 9:
+            solvers.append(lambda: solve_branch_and_bound(build_model(g, eps)))
+        for solve in solvers:
+            try:
+                yield solve().representation
+            except StripInfeasibleError:
+                pass
+
+    @staticmethod
+    def scrambled(g, r, rng, kind):
+        """A copy of ``r`` broken in one way; every kind but 'shuffle' stays near r."""
+        x = dict(r.x)
+        vertices = list(g.vertices())
+        if kind == "shuffle":  # rows out of order, overlaps, point contacts
+            grid = Fraction(1, rng.choice((1, 2, 3)))
+            span = int(g.total_width / grid) + 1
+            x = {v: rng.randint(0, span) * grid for v in vertices}
+        elif kind == "overlap":  # same-row rectangles pushed into their left neighbor
+            for v in rng.sample(vertices, max(1, len(vertices) // 3)):
+                x[v] -= g.width(v) / rng.choice((2, 3))
+        elif kind == "short":  # vertical overlaps cut below epsilon
+            for v in rng.sample(vertices, max(1, len(vertices) // 2)):
+                x[v] += r.epsilon * rng.choice((-1, 1)) * Fraction(rng.randint(1, 5), 6)
+        elif kind == "point":  # upper rows moved so edges meet at points
+            for v in vertices:
+                if v.layer % 2 and v.pos % 2 == 0:
+                    x[v] = x[VertexId(v.layer - 1, 0)] + g.width(VertexId(v.layer - 1, 0))
+        return Representation(x=x, epsilon=r.epsilon)
+
+    def test_at_least_200_layouts_agree(self):
+        rng = random.Random(89)
+        kinds = ("solver", "shuffle", "overlap", "short", "point")
+        seen = dict.fromkeys(kinds, 0)
+        rational = 0
+        for g in self.graphs(rng, 40):
+            for r in self.solver_layouts(g, rng):
+                layouts = [("solver", r)]
+                layouts += [(kind, self.scrambled(g, r, rng, kind)) for kind in kinds[1:]]
+                for kind, layout in layouts:
+                    report = contact_report(g, layout)
+                    fields = (
+                        report.realized,
+                        report.lost,
+                        report.false_adjacencies,
+                        report.gap_total,
+                        report.bbox_width,
+                    )
+                    assert fields == reference_contact_report(g, layout), kind
+                    seen[kind] += 1
+                    rational += any(x.denominator > 1 for x in layout.x.values())
+        assert sum(seen.values()) >= 200 and min(seen.values()) >= 40, seen
+        assert rational >= 40
+
+    def test_non_positive_epsilon_agrees(self):
+        """Unvisited separated pairs stay lost even where overlap >= epsilon."""
+        rng = random.Random(97)
+        for g in self.graphs(rng, 10):
+            r = self.scrambled(g, left_packed(g), rng, "shuffle")
+            for eps in (0, -1):
+                layout = Representation(x=r.x, epsilon=Fraction(eps))
+                report = contact_report(g, layout)
+                reference = reference_contact_report(g, layout)
+                assert (report.realized, report.lost) == reference[:2]
+
+
 class TestFalseAdjacencyPairs:
     def test_full_fan_has_no_pairs(self):
         assert false_adjacency_pairs(fan_instance()) == (frozenset(), frozenset())
@@ -287,6 +422,16 @@ class TestDifferenceGraph:
         assert difference_graph(fan_instance(), Fraction(1, 2)).denominator == 2
         assert difference_graph(fan_instance(), 1).width == (3, 1, 1, 1)
 
+    def test_rejects_invalid_graph(self):
+        g = build_graph([[1, 1], [1, 1]], [[[0, 0], [1, 1]]])
+        with pytest.raises(InvalidInstanceError, match="^invalid graph: .*share exactly one"):
+            difference_graph(g, 1)
+
+    @pytest.mark.parametrize("epsilon", [0, -1, Fraction(-1, 2)])
+    def test_rejects_non_positive_epsilon(self, epsilon):
+        with pytest.raises(InvalidInstanceError, match="^epsilon must be positive, got"):
+            difference_graph(fan_instance(), epsilon)
+
     def test_left_compacted_layout_is_valid(self):
         """Meeting every arc keeps out every false adjacency, rational data too."""
         rng = random.Random(67)
@@ -308,6 +453,15 @@ class TestDifferenceGraph:
 
 def halved(r):
     return {v: x / 2 for v, x in r.x.items()}
+
+
+class TestScaledLayout:
+    def test_shifts_to_zero_and_scales_back(self):
+        g = build_graph([[2, 2], [1, 2, 1]], [[[0, 1], [1, 2]]])
+        r = scaled_layout(g, [5, 9, 3, 4, 8], 2, Fraction(1, 2))
+        assert r.epsilon == Fraction(1, 2)
+        assert list(r.x) == list(g.vertices())
+        assert list(r.x.values()) == [1, 3, 0, Fraction(1, 2), Fraction(5, 2)]
 
 
 class TestScaleInvariance:
@@ -349,5 +503,24 @@ class TestScaleInvariance:
                 continue
             half = minimize_area(divided(g, 2), Fraction(1, 2))
             assert half.gap_total == whole.gap_total / 2, f"seed {seed}"
+            solved += 1
+        assert solved >= 20
+
+    def test_bounding_box(self):
+        """Rational widths are solved exactly: half the width, half of every x."""
+        rng = random.Random(83)
+        solved = 0
+        for seed in self.SEEDS:
+            layers = rng.randint(1, 4)
+            g = gen_random_instance(layers, random_layer_sizes(layers, 30, rng), (1, 9), seed)
+            try:
+                whole = minimize_bounding_box(g, 1)
+            except StripInfeasibleError:
+                with pytest.raises(StripInfeasibleError):
+                    minimize_bounding_box(divided(g, 2), Fraction(1, 2))
+                continue
+            half = minimize_bounding_box(divided(g, 2), Fraction(1, 2))
+            assert half.width == whole.width / 2, f"seed {seed}"
+            assert half.representation.x == halved(whole.representation), f"seed {seed}"
             solved += 1
         assert solved >= 20

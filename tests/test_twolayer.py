@@ -16,12 +16,7 @@ from layercloud.model import (
     contact_report,
 )
 from layercloud.oracle import brute_force_max_contacts
-from layercloud.twolayer import (
-    Block,
-    current_block,
-    maximize_contacts_2layer,
-    placement_order,
-)
+from layercloud.twolayer import maximize_contacts_2layer, placement_order
 
 
 def fan_instance():
@@ -172,23 +167,6 @@ class TestMaximizeContacts:
                     if overlap == 0:
                         seen_point_contact = True
         assert seen_point_contact, "sweep never produced a point contact to inspect"
-
-
-class TestBlocks:
-    def test_current_block_spans_abutting_run(self):
-        g = build_graph([[1, 1, 1]])
-        from layercloud.model import Representation
-
-        r = Representation(
-            x={
-                VertexId(0, 0): Fraction(0),
-                VertexId(0, 1): Fraction(1),
-                VertexId(0, 2): Fraction(3),
-            },
-            epsilon=Fraction(1),
-        )
-        assert current_block(g, r, VertexId(0, 1)) == Block(layer=0, first=0, last=1)
-        assert current_block(g, r, VertexId(0, 2)) == Block(layer=0, first=2, last=2)
 
 
 class TestOperationCounter:
